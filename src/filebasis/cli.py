@@ -65,13 +65,16 @@ def _witness_dict(witness) -> object:
         return None
     if isinstance(witness, Word):
         return str(witness)
+
+    def text(code: str) -> str:
+        return str(Word.from_code(code))
+
     if isinstance(witness, decision.FillWitness):
         return {
             "kind": "filling",
-            "contour": _letters_text(witness.contour),
+            "contour": text(witness.contour),
             "trace": [
-                {"position": j, "face_label": _letters_text(variant)}
-                for j, variant in witness.trace
+                {"position": j, "face_label": text(variant)} for j, variant in witness.trace
             ],
             "edges": witness.edges,
             "area": witness.area,
@@ -79,9 +82,9 @@ def _witness_dict(witness) -> object:
     if isinstance(witness, decision.RewriteWitness):
         return {
             "kind": "rewriting",
-            "meeting_point": _letters_text(witness.meeting_point),
-            "steps_from_u": [_letters_text(s) for s in witness.steps_from_u],
-            "steps_from_v": [_letters_text(s) for s in witness.steps_from_v],
+            "meeting_point": text(witness.meeting_point),
+            "steps_from_u": [text(s) for s in witness.steps_from_u],
+            "steps_from_v": [text(s) for s in witness.steps_from_v],
         }
     if isinstance(witness, decision.ConjugacyWitness):
         return {
@@ -90,10 +93,6 @@ def _witness_dict(witness) -> object:
             "certificate": _witness_dict(witness.certificate),
         }
     return str(witness)
-
-
-def _letters_text(letters) -> str:
-    return str(Word.from_letters(list(letters)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def cmd_conj(args) -> int:
 
 def cmd_check_diagram(args) -> int:
     pres = _load_presentation(args.presentation)
-    d = diagram.load_diagram(args.diagram)
+    d = diagram.load_diagram(args.diagram, pres.params.n)
     report = diagram.validate_diagram(d, pres.relator_words())
     result = {"validation": report.as_dict()}
     if not report.ok:
@@ -216,10 +215,17 @@ def cmd_enum_words(args) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-edges", type=int, default=10**6)
-    p.add_argument("--max-len", type=int, default=200)
-    p.add_argument("--max-states", type=int, default=20000)
+    p.add_argument("--max-edges", type=_positive_int, default=10**6)
+    p.add_argument("--max-len", type=_positive_int, default=200)
+    p.add_argument("--max-states", type=_positive_int, default=20000)
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_diagram)
 
     p = sub.add_parser("enum-words", help="stream reduced words in deg-lex order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--count", type=int, default=20)
     p.set_defaults(func=cmd_enum_words)
 

@@ -206,10 +206,10 @@ def check_relator(p: ConstructionParams, rel: Relator) -> list[str]:
     core, _ = rel.r.cyclically_reduce()
     if core != rel.r:
         problems.append("relator is not cyclically reduced")
-    letters = rel.w.letter_tuple()
-    if letters and letters[0][0] == 1:
+    runs = rel.w.runs
+    if runs and runs[0][0] == 1:
         problems.append("w starts with x_1^{+-1}")
-    if letters and letters[-1][0] == p.n:
+    if runs and runs[-1][0] == p.n:
         problems.append("w ends with x_n^{+-1}")
     if rel.w.is_regular():
         problems.append("w is regular")
@@ -282,10 +282,7 @@ class Presentation:
 
 
 def _shape_ok(w: Word, n: int) -> bool:
-    letters = w.letter_tuple()
-    if not letters:
-        return False
-    return letters[0][0] != 1 and letters[-1][0] != n and not w.is_regular()
+    return bool(w) and w.runs[0][0] != 1 and w.runs[-1][0] != n and not w.is_regular()
 
 
 def next_w(

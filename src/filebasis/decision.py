@@ -24,9 +24,20 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .words import EMPTY, Letter, Word, inverse_letter, iter_reduced_words, iter_regular_words
+from .words import (
+    EMPTY,
+    Word,
+    cyclic_insert,
+    cyclic_reduce,
+    free_reduce,
+    insert,
+    iter_reduced_words,
+    iter_regular_words,
+    least_rotation,
+    relator_variants,
+)
 
 YES = "yes"
 NO = "no"
@@ -66,10 +77,11 @@ class Outcome:
 
 @dataclass(frozen=True)
 class FillWitness:
-    """A disc diagram described by its contour word and face-insertion trace."""
+    """A disc diagram described by its contour word and face-insertion trace;
+    words are code strings of the word kernel."""
 
-    contour: tuple[Letter, ...]
-    trace: tuple[tuple[int, tuple[Letter, ...]], ...]  # (insert position, face label)
+    contour: str
+    trace: tuple[tuple[int, str], ...]  # (insert position, face label)
     edges: int
     area: int  # total face boundary length
 
@@ -78,9 +90,9 @@ class FillWitness:
 class RewriteWitness:
     """Insertion chains from u and from v meeting at a common reduced word."""
 
-    meeting_point: tuple[Letter, ...]
-    steps_from_u: tuple[tuple[Letter, ...], ...]
-    steps_from_v: tuple[tuple[Letter, ...], ...]
+    meeting_point: str
+    steps_from_u: tuple[str, ...]
+    steps_from_v: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -90,75 +102,13 @@ class ConjugacyWitness:
 
 
 # ---------------------------------------------------------------------------
-# letter-sequence helpers
-
-
-def _reduce_seq(seq: Iterable[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for letter in seq:
-        if out and out[-1] == inverse_letter(letter):
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-def _cyclic_reduce_seq(seq: Sequence[Letter]) -> tuple[Letter, ...]:
-    seq = _reduce_seq(seq)
-    i, j = 0, len(seq) - 1
-    while i < j and seq[i] == inverse_letter(seq[j]):
-        i += 1
-        j -= 1
-    return tuple(seq[i : j + 1])
-
-
-def _invert_seq(seq: Sequence[Letter]) -> tuple[Letter, ...]:
-    return tuple(inverse_letter(l) for l in reversed(seq))
-
-
-def _canon_cyclic(seq: Sequence[Letter]) -> tuple[Letter, ...]:
-    """Least rotation in linear time (Booth's algorithm)."""
-    if not seq:
-        return ()
-    seq = tuple(seq)
-    s = seq + seq
-    n = len(seq)
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return s[k : k + n]
-
-
-def relator_variants(relators: Iterable[Word]) -> tuple[tuple[Letter, ...], ...]:
-    """All rotations of each relator and of its inverse, deduplicated."""
-    variants: set[tuple[Letter, ...]] = set()
-    for r in relators:
-        for base in (r.letter_tuple(), r.inverse().letter_tuple()):
-            for k in range(len(base)):
-                variants.add(base[k:] + base[:k])
-    return tuple(sorted(variants))
-
-
-# ---------------------------------------------------------------------------
 # abelianized obstruction
 
 
-def _ab_vector(seq: Iterable[Letter], n: int) -> tuple[int, ...]:
+def _ab_vector(code: str, n: int) -> tuple[int, ...]:
     vec = [0] * n
-    for index, sign in seq:
-        vec[index - 1] += sign
+    for c in map(ord, code):
+        vec[c >> 1] += 1 if c & 1 else -1
     return tuple(vec)
 
 
@@ -197,10 +147,10 @@ def _ab_in_lattice(target: Sequence[int], generators: Sequence[Sequence[int]]) -
     return all(x.denominator == 1 for x in solution)
 
 
-def ab_obstructed(seq: Sequence[Letter], relators: Sequence[Word], n: int) -> bool:
-    """True when the abelianization certifies that no filling of seq exists."""
+def ab_obstructed(code: str, relators: Sequence[Word], n: int) -> bool:
+    """True when the abelianization certifies that no filling of code exists."""
     membership = _ab_in_lattice(
-        _ab_vector(seq, n), [_ab_vector(r.letters(), n) for r in relators]
+        _ab_vector(code, n), [_ab_vector(r.code(), n) for r in relators]
     )
     return membership is False
 
@@ -218,21 +168,21 @@ class _SearchResult:
 
 
 def _fill_search(
-    variants: Sequence[tuple[Letter, ...]],
-    start: tuple[Letter, ...],
+    variants: Sequence[str],
+    start: str,
     area_bound: int,
     budget: Budget,
 ) -> _SearchResult:
     """Dijkstra over canonical cyclic words; cost = accumulated face boundary length."""
-    start = _canon_cyclic(_cyclic_reduce_seq(start))
+    start = least_rotation(cyclic_reduce(start)[0])
     if not start:
         return _SearchResult(found=True)
     if area_bound <= 0 or not variants:
         return _SearchResult(found=False)
     min_variant = min(len(v) for v in variants)
-    best: dict[tuple[Letter, ...], int] = {start: 0}
-    parent: dict[tuple[Letter, ...], tuple] = {start: None}
-    heap: list[tuple[int, tuple[Letter, ...]]] = [(0, start)]
+    best: dict[str, int] = {start: 0}
+    parent: dict[str, tuple] = {start: None}
+    heap: list[tuple[int, str]] = [(0, start)]
     complete = True
     while heap:
         area, word = heapq.heappop(heap)
@@ -244,8 +194,7 @@ def _fill_search(
                 continue
             live = child_area + min_variant <= area_bound
             for j in range(len(word)):
-                rotated = word[j:] + word[:j]
-                child = _canon_cyclic(_cyclic_reduce_seq(rotated + variant))
+                child = cyclic_insert(word, j, variant)
                 if not child:
                     trace = _rebuild_trace(parent, word) + ((j, variant),)
                     return _SearchResult(found=True, trace=trace, area=child_area)
@@ -265,7 +214,7 @@ def _fill_search(
     return _SearchResult(found=False, complete=complete)
 
 
-def _rebuild_trace(parent: dict, word: tuple) -> tuple:
+def _rebuild_trace(parent: dict, word: str) -> tuple:
     steps = []
     while parent.get(word) is not None:
         prev, j, variant = parent[word]
@@ -277,17 +226,12 @@ def _rebuild_trace(parent: dict, word: tuple) -> tuple:
 def replay_fill(witness: FillWitness, relators: Sequence[Word]) -> bool:
     """Independent replay of a fill witness by pure free/cyclic reduction."""
     allowed = set(relator_variants(relators))
-    word = _canon_cyclic(_cyclic_reduce_seq(witness.contour))
+    word = least_rotation(cyclic_reduce(witness.contour)[0])
     area = 0
     for j, variant in witness.trace:
-        if variant not in allowed:
+        if variant not in allowed or (word and j >= len(word)):
             return False
-        if word:
-            if j >= len(word):
-                return False
-            word = _canon_cyclic(_cyclic_reduce_seq(word[j:] + word[:j] + variant))
-        else:
-            word = _canon_cyclic(_cyclic_reduce_seq(variant))
+        word = cyclic_insert(word, j, variant)
         area += len(variant)
     if word:
         return False
@@ -309,7 +253,7 @@ def in_C(
     n: int | None = None,
 ) -> Outcome:
     """Does a disc diagram over the relators with at most E edges have contour uv^-1?"""
-    z = u.letter_tuple() + v.inverse().letter_tuple()
+    z = u.code() + v.inverse().code()
     zlen = len(z)
     e_genuine = floor(E)
     if n is None:
@@ -324,7 +268,7 @@ def in_C(
         if 2 * e_genuine - zlen < 0:
             return Outcome(NO)
         return Outcome(EXCEEDED)
-    core = _cyclic_reduce_seq(z)
+    core = cyclic_reduce(z)[0]
     if not core:
         return Outcome(YES, witness=FillWitness(z, (), edges=zlen // 2, area=0))
     variants = relator_variants(relators)
@@ -364,8 +308,8 @@ def rewrite_search(relators: Sequence[Word], u: Word, v: Word, budget: Budget) -
     A no is certified only when both reachable sets close without hitting
     any cap (which happens e.g. over an empty relator set).
     """
-    start_u = u.letter_tuple()
-    start_v = v.letter_tuple()
+    start_u = u.code()
+    start_v = v.code()
     variants = relator_variants(relators)
     sides: list[dict] = [{start_u: None}, {start_v: None}]
     frontiers = [[start_u], [start_v]]
@@ -387,7 +331,7 @@ def rewrite_search(relators: Sequence[Word], u: Word, v: Word, budget: Budget) -
         for word in frontier:
             for variant in variants:
                 for j in range(len(word) + 1):
-                    child = _reduce_seq(word[:j] + variant + word[j:])
+                    child = insert(word, j, variant)
                     if len(child) > budget.max_word_len:
                         complete = False
                         continue
@@ -410,21 +354,19 @@ def rewrite_search(relators: Sequence[Word], u: Word, v: Word, budget: Budget) -
 def replay_rewrite(witness: RewriteWitness, relators: Sequence[Word], u: Word, v: Word) -> bool:
     variants = set(relator_variants(relators))
 
-    def check_chain(start: tuple[Letter, ...], steps: Sequence[tuple[Letter, ...]]) -> bool:
+    def check_chain(start: str, steps: Sequence[str]) -> bool:
         if not steps or steps[0] != start or steps[-1] != witness.meeting_point:
             return False
         for a, b in zip(steps, steps[1:]):
             ok = any(
-                b == _reduce_seq(a[:j] + variant + a[j:])
-                for variant in variants
-                for j in range(len(a) + 1)
+                b == insert(a, j, variant) for variant in variants for j in range(len(a) + 1)
             )
             if not ok:
                 return False
         return True
 
-    return check_chain(u.letter_tuple(), witness.steps_from_u) and check_chain(
-        v.letter_tuple(), witness.steps_from_v
+    return check_chain(u.code(), witness.steps_from_u) and check_chain(
+        v.code(), witness.steps_from_v
     )
 
 
@@ -441,7 +383,7 @@ def equals_in_G(presentation, u: Word, v: Word, budget: Budget, engine: str = "d
     parameters).
     """
     if u == v:
-        return Outcome(YES, witness=FillWitness(u.letter_tuple() + v.inverse().letter_tuple(), (), len(u), 0))
+        return Outcome(YES, witness=FillWitness(u.code() + v.inverse().code(), (), len(u), 0))
     relators = [rel.r for rel in presentation.relators]
     n = presentation.params.n
     if engine == "diagram":
@@ -490,16 +432,15 @@ def _free_conjugacy(u: Word, v: Word) -> Optional[Word]:
     core_v, b = v.cyclically_reduce()
     if len(core_u) != len(core_v):
         return None
-    cu = core_u.letter_tuple()
-    cv = core_v.letter_tuple()
+    cu = core_u.code()
     if not cu:
         return b * a.inverse()
-    for k in range(len(cu)):
-        if cu[k:] + cu[:k] == cv:
-            # core_v = p^-1 core_u p with p the first k letters of core_u
-            p = Word.from_letters(cu[:k])
-            return b * p.inverse() * a.inverse()
-    return None
+    # the least k with core_v = p^-1 core_u p, p the first k letters of core_u
+    k = (cu + cu).find(core_v.code())
+    if k < 0:
+        return None
+    p = Word.from_code(cu[:k])
+    return b * p.inverse() * a.inverse()
 
 
 def are_conjugate(presentation, u: Word, v: Word, budget: Budget) -> Outcome:
@@ -532,10 +473,10 @@ def are_conjugate(presentation, u: Word, v: Word, budget: Budget) -> Outcome:
         return Outcome(YES, witness=ConjugacyWitness(s))
 
     # Abelianized conjugacy obstruction: conjugate elements have equal images.
-    diff = _ab_vector(u.letters(), n)
-    vv = _ab_vector(v.letters(), n)
+    diff = _ab_vector(u.code(), n)
+    vv = _ab_vector(v.code(), n)
     diff = tuple(a - b for a, b in zip(diff, vv))
-    if _ab_in_lattice(diff, [_ab_vector(r.letters(), n) for r in relators]) is False:
+    if _ab_in_lattice(diff, [_ab_vector(r.code(), n) for r in relators]) is False:
         return Outcome(NO, witness="abelianized obstruction")
 
     bound_len = ceil(q * (len(u) + len(v)))
@@ -574,12 +515,7 @@ def are_conjugate(presentation, u: Word, v: Word, budget: Budget) -> Outcome:
         if scanned > budget.max_states:
             search_complete = False
             break
-        z = _reduce_seq(
-            s.letter_tuple()
-            + u.letter_tuple()
-            + s.inverse().letter_tuple()
-            + v.inverse().letter_tuple()
-        )
+        z = free_reduce(s.code() + u.code() + s.inverse().code() + v.inverse().code())
         if ab_obstructed(z, face_words, n):
             continue
         result = _fill_search(variants, z, area_bound, budget)

@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, groupby
 from typing import Iterable, Optional, Sequence
 
-from .words import Letter, Word, inverse_letter
+from .words import Letter, Word, encode, inverse_letter, invert, parse_letter, relator_variants
 
 
 class DiagramError(ValueError):
@@ -199,19 +200,20 @@ def match_face_label(
     label: Sequence[Letter], relators: Sequence[Word]
 ) -> Optional[tuple[int, int, int]]:
     """(relator position, sign, rotation) such that the face label read from
-    `rotation` equals relator^sign, or None.  Uses doubled-sequence substring
-    search so matching stays linear in the boundary length."""
+    `rotation` equals relator^sign, or None.  Uses substring search in the
+    doubled label, so matching stays linear in the boundary length; the
+    lowest match is the least rotation."""
     k = len(label)
     if k == 0:
         return None
-    doubled = tuple(label) + tuple(label)
+    doubled = encode(label) * 2
     for pos, r in enumerate(relators):
-        for sign, target in ((1, r.letter_tuple()), (-1, r.inverse().letter_tuple())):
+        for sign, target in ((1, r), (-1, r.inverse())):
             if len(target) != k:
                 continue
-            for rot in range(k):
-                if doubled[rot : rot + k] == target:
-                    return (pos, sign, rot)
+            rot = doubled.find(target.code())
+            if rot >= 0:
+                return (pos, sign, rot)
     return None
 
 
@@ -308,70 +310,35 @@ def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
 # special selection
 
 
-def _selection_runs(label: Sequence[Letter]) -> list[tuple[int, int, int]]:
-    """RLE of a cyclic label sequence as (index, sign, count) runs (non-cyclic)."""
-    runs: list[list[int]] = []
-    for index, sign in label:
-        if runs and runs[-1][0] == index and runs[-1][1] == sign:
-            runs[-1][2] += 1
-        else:
-            runs.append([index, sign, 1])
-    return [tuple(r) for r in runs]
-
-
-def _find_special_subpath(label: Sequence[Letter], n: int) -> Optional[tuple[int, int]]:
+def _find_special_subpath(label: str, n: int) -> Optional[tuple[int, int]]:
     """(start, length) of a subpath reading x_1^m...x_n^m or x_n^-m...x_1^-m.
 
-    Scans the doubled label for a run pattern whose middle runs have
-    exponent exactly m and whose end runs contribute at least m, taking m
-    as large as the face admits.  Returns the position of the longest
-    qualifying subpath, which has length n*m.
+    Scans the runs of the doubled label for a pattern whose middle runs
+    have exponent exactly m and whose end runs contribute at least m,
+    taking m as large as the face admits.  Returns the position of the
+    longest qualifying subpath, which has length n*m.
     """
     k = len(label)
     if k == 0 or n < 1:
         return None
-    doubled = tuple(label) + tuple(label)
+    runs = [(c, sum(1 for _ in group)) for c, group in groupby(label * 2)]
+    heads = "".join(c for c, _ in runs)
+    positions = list(accumulate((count for _, count in runs), initial=0))
     best: Optional[tuple[int, int]] = None
-
-    def consider(start: int, length: int) -> None:
-        nonlocal best
-        if start < k and (best is None or length > best[1]):
-            best = (start, length)
-
-    runs = _selection_runs(doubled)
-    # prefix sums of run positions in the doubled sequence
-    positions = []
-    pos = 0
-    for index, sign, count in runs:
-        positions.append(pos)
-        pos += count
-
-    for variant in ("up", "down"):
-        if variant == "up":
-            seq = [(j, 1) for j in range(1, n + 1)]
-        else:
-            seq = [(j, -1) for j in range(n, 0, -1)]
-        for ri in range(len(runs)):
-            window = runs[ri : ri + n]
-            if len(window) < n:
-                continue
-            if [(i, s) for i, s, _ in window] != seq:
-                continue
-            counts = [cnt for _, _, cnt in window]
-            if n == 1:
-                m = counts[0]
-            else:
-                middle = counts[1:-1]
-                if middle and any(c != middle[0] for c in middle):
-                    continue
-                m = middle[0] if middle else min(counts)
-                if counts[0] < m or counts[-1] < m:
-                    continue
-            if m < 1:
-                continue
-            # align the window so ends contribute exactly m letters
-            start = positions[ri] + counts[0] - m
-            consider(start % k if start >= k else start, n * m)
+    up = encode((j, 1) for j in range(1, n + 1))
+    down = encode((j, -1) for j in range(n, 0, -1))
+    for shape in (up, down):
+        ri = heads.find(shape)
+        while ri >= 0:
+            counts = [count for _, count in runs[ri : ri + n]]
+            middle = counts[1:-1]
+            m = middle[0] if middle else min(counts)
+            if all(c == m for c in middle) and counts[0] >= m and counts[-1] >= m:
+                # align the window so its ends contribute exactly m letters
+                start = (positions[ri] + counts[0] - m) % k
+                if best is None or n * m > best[1]:
+                    best = (start, n * m)
+            ri = heads.find(shape, ri + 1)
     return best
 
 
@@ -387,7 +354,7 @@ def special_selection(d: Diagram, n: int, min_fraction: Fraction | None = None) 
     per_face = {}
     for fid in d.complex.faces:
         label = d.face_label(fid)
-        hit = _find_special_subpath(label, n)
+        hit = _find_special_subpath(encode(label), n)
         if hit is None:
             raise DiagramError(f"face {fid!r}: no special subpath found")
         start, length = hit
@@ -398,36 +365,6 @@ def special_selection(d: Diagram, n: int, min_fraction: Fraction | None = None) 
             )
         per_face[fid] = FaceSelection(face=fid, start=start, length=length)
     return Selection(per_face)
-
-
-def scan_special_subpaths(label: Sequence[Letter], n: int) -> list[tuple[int, int]]:
-    """Exhaustive quadratic scan for qualifying subpaths; a test oracle for
-    uniqueness on small faces."""
-    k = len(label)
-    doubled = tuple(label) + tuple(label)
-    bound = Fraction(n, 2 * n - 2) if n > 1 else Fraction(1, 2)
-    found = []
-    for start in range(k):
-        for length in range(1, k + 1):
-            seg = doubled[start : start + length]
-            if Fraction(length) <= bound * k:
-                continue
-            if _is_special_word(seg, n):
-                found.append((start, length))
-    return found
-
-
-def _is_special_word(seg: Sequence[Letter], n: int) -> bool:
-    runs = _selection_runs(seg)
-    if len(runs) != n:
-        return False
-    ups = [(j, 1) for j in range(1, n + 1)]
-    downs = [(j, -1) for j in range(n, 0, -1)]
-    shape = [(i, s) for i, s, _ in runs]
-    if shape not in (ups, downs):
-        return False
-    counts = [c for _, _, c in runs]
-    return all(c == counts[0] for c in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -455,26 +392,27 @@ def find_immediately_cancellable(d: Diagram) -> list[frozenset]:
     for fid, cycle in c.faces.items():
         for pos, dart in enumerate(cycle):
             dart_face[dart] = (fid, pos)
+    labels = {fid: encode(d.face_label(fid)) for fid in c.faces}
+    same: dict = {}  # (f1, f2, (p1 + p2) % k) -> whether the readings agree
     pairs = set()
     for dart, (f1, p1) in dart_face.items():
         other = c.inv[dart]
         if other not in dart_face:
             continue
         f2, p2 = dart_face[other]
-        if f1 == f2:
+        k = len(labels[f1])
+        if f1 == f2 or len(labels[f2]) != k:
             continue
-        cyc1 = c.faces[f1]
-        cyc2 = c.faces[f2]
-        if len(cyc1) != len(cyc2):
-            continue
-        k = len(cyc1)
-        # p1: read forward around face 1 starting at the shared dart;
-        # p2: read backward around face 2 starting at the same oriented edge.
-        w1 = tuple(d.labels[cyc1[(p1 + j) % k]] for j in range(k))
-        w2 = tuple(
-            inverse_letter(d.labels[cyc2[(p2 - j) % k]]) for j in range(k)
-        )
-        if w1 == w2:
+        key = (f1, f2, (p1 + p2) % k)
+        if key not in same:
+            # p1: read forward around face 1 starting at the shared dart;
+            # p2: read backward around face 2 starting at the same oriented
+            # edge, which is face 2's inverse label read from k-1-p2.
+            w1 = labels[f1][p1:] + labels[f1][:p1]
+            back = invert(labels[f2])
+            start = (k - 1 - p2) % k
+            same[key] = w1 == back[start:] + back[:start]
+        if same[key]:
             pairs.add(frozenset((f1, f2)))
     return sorted(pairs, key=lambda p: sorted(map(str, p)))
 
@@ -804,7 +742,7 @@ def diagram_to_dict(d: Diagram) -> dict:
                 "inv": c.inv[dart],
                 "from": c.origin[dart],
                 "to": c.terminus(dart),
-                "label": f"x{d.labels[dart][0]}" if d.labels[dart][1] > 0 else f"x{d.labels[dart][0]}^-1",
+                "label": str(Word.from_letters([d.labels[dart]])),
             }
             for dart in sorted(c.inv, key=str)
         ],
@@ -815,22 +753,22 @@ def diagram_to_dict(d: Diagram) -> dict:
     }
 
 
-def _parse_label(text: str) -> Letter:
-    if text.endswith("^-1"):
-        return (int(text[1:-3]), -1)
-    return (int(text[1:]), 1)
-
-
-def diagram_from_dict(data: dict) -> Diagram:
+def diagram_from_dict(data: dict, n: int | None = None) -> Diagram:
+    """Read a diagram; labels are single letters of the word grammar,
+    range-checked against n when it is given."""
     try:
         vertices = frozenset(data["vertices"])
         inv = {}
         origin = {}
         labels = {}
+        letters: dict = {}  # label text -> letter; parsed once per distinct text
         for item in data["darts"]:
             inv[item["id"]] = item["inv"]
             origin[item["id"]] = item["from"]
-            labels[item["id"]] = _parse_label(item["label"])
+            text = item["label"]
+            if text not in letters:
+                letters[text] = parse_letter(text, n)
+            labels[item["id"]] = letters[text]
         faces = {item["id"]: tuple(item["cycle"]) for item in data["faces"]}
         contours = tuple(tuple(cycle) for cycle in data["contours"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -839,9 +777,9 @@ def diagram_from_dict(data: dict) -> Diagram:
     return Diagram(DiagramMap(complex, contours), labels)
 
 
-def load_diagram(path: str) -> Diagram:
+def load_diagram(path: str, n: int | None = None) -> Diagram:
     with open(path) as fh:
-        return diagram_from_dict(json.load(fh))
+        return diagram_from_dict(json.load(fh), n)
 
 
 # ---------------------------------------------------------------------------
@@ -993,13 +931,8 @@ def random_diagram(relators: Sequence[Word], faces: int, rng) -> Diagram:
     gluing relator polygons along boundary segments."""
     if faces < 1:
         raise DiagramError("need at least one face")
-    variants = []
-    for r in relators:
-        for base in (r.letter_tuple(), r.inverse().letter_tuple()):
-            for k in range(len(base)):
-                variants.append(base[k:] + base[:k])
-    first = rng.choice(variants)
-    d = polygon_diagram(Word.from_letters(list(first)), face_id="f0")
+    variants = relator_variants(relators)
+    d = polygon_diagram(Word.from_code(rng.choice(variants)), face_id="f0")
     for step in range(1, faces):
         d = rotate_contour(d, rng.randrange(len(d.map.contours[0])))
         contour = d.map.contours[0]
@@ -1007,11 +940,11 @@ def random_diagram(relators: Sequence[Word], faces: int, rng) -> Diagram:
         overlaps = list(range(1, min(len(contour), max(len(r) for r in relators)) ))
         rng.shuffle(overlaps)
         for overlap in overlaps:
-            prefix = tuple(d.labels[contour[j]] for j in range(overlap))
-            fits = [v for v in variants if len(v) > overlap and v[:overlap] == prefix]
+            prefix = encode(d.labels[contour[j]] for j in range(overlap))
+            fits = [v for v in variants if len(v) > overlap and v.startswith(prefix)]
             if not fits:
                 continue
-            word = Word.from_letters(list(rng.choice(fits)))
+            word = Word.from_code(rng.choice(fits))
             d = glue_boundary(d, word, f"f{step}", overlap)
             placed = True
             break

@@ -1,17 +1,25 @@
-"""Reduced group words over a finite alphabet, run-length encoded.
+"""Reduced group words over a finite alphabet, and the word kernel.
 
-A word is stored as maximal runs ``(index, exponent)`` with nonzero
+A `Word` is stored as maximal runs ``(index, exponent)`` with nonzero
 exponents and distinct adjacent indices, so it is freely reduced by
 construction.  Exponents are plain Python ints (arbitrary precision),
 which matters because the group construction produces exponents in the
 hundreds even for its smallest instances.
+
+The algorithms on words (free and cyclic reduction, least rotation,
+relator insertion) run on one letter encoding: the letter x_i^s is the
+code point ``2*(i-1) + (s > 0)`` and a word is the `str` of its letters.
+The inverse of code c is ``c ^ 1``, and string order agrees with the
+order of ``(index, sign)`` tuples.  A `str` puts no cap on the alphabet
+and stores code points below 256 in one byte each.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import groupby
+from typing import Iterable, Iterator, Sequence
 
 
 class MalformedWordError(ValueError):
@@ -36,6 +44,85 @@ def rank_letter(rank: int) -> Letter:
     return (rank // 2 + 1, 1 if rank % 2 == 0 else -1)
 
 
+# -- the word kernel -----------------------------------------------------
+
+
+def encode(runs: Iterable[tuple[int, int]]) -> str:
+    """Code string of runs (index, exponent); a letter (index, sign) is a run."""
+    parts = []
+    for index, exp in runs:
+        if index < 1:
+            raise MalformedWordError(f"letter index {index} out of range")
+        parts.append(chr(2 * (index - 1) + (exp > 0)) * abs(exp))
+    return "".join(parts)
+
+
+def invert(code: str) -> str:
+    return "".join(chr(ord(c) ^ 1) for c in reversed(code))
+
+
+def free_reduce(code: str) -> str:
+    out: list[str] = []
+    for c in code:
+        if out and ord(out[-1]) ^ ord(c) == 1:
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+def cyclic_reduce(code: str) -> tuple[str, str]:
+    """(core, conjugator) with code = conjugator core conjugator^-1 freely."""
+    code = free_reduce(code)
+    i, j = 0, len(code) - 1
+    while i < j and ord(code[i]) ^ ord(code[j]) == 1:
+        i += 1
+        j -= 1
+    return code[i : j + 1], code[:i]
+
+
+def least_rotation(code: str) -> str:
+    """Least rotation in linear time (Booth, "Lexicographically least
+    circular substrings", IPL 10, 1980)."""
+    s = code + code
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return s[k : k + len(code)]
+
+
+def insert(word: str, j: int, variant: str) -> str:
+    """Free reduction of word with variant inserted at position j."""
+    return free_reduce(word[:j] + variant + word[j:])
+
+
+def cyclic_insert(word: str, j: int, variant: str) -> str:
+    """The cyclic word, as its least rotation, left by appending variant
+    to the rotation of word that starts at position j."""
+    return least_rotation(cyclic_reduce(word[j:] + word[:j] + variant)[0])
+
+
+def relator_variants(relators: Iterable[Word]) -> tuple[str, ...]:
+    """All rotations of each relator and of its inverse, deduplicated, sorted."""
+    variants: set[str] = set()
+    for r in relators:
+        for base in (r.code(), r.inverse().code()):
+            variants.update(base[k:] + base[:k] for k in range(len(base)))
+    return tuple(sorted(variants))
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced group word in run-normal form."""
@@ -56,28 +143,23 @@ class Word:
     # -- construction ----------------------------------------------------
 
     @staticmethod
+    def from_code(code: str) -> "Word":
+        """Freely reduce a code string into run-normal form."""
+        runs = []
+        for c, group in groupby(map(ord, free_reduce(code))):
+            count = sum(1 for _ in group)
+            runs.append((c // 2 + 1, count if c & 1 else -count))
+        return Word(tuple(runs))
+
+    @staticmethod
     def from_letters(letters: Sequence[Letter]) -> "Word":
         """Freely reduce a letter sequence into run-normal form."""
-        runs: list[list[int]] = []
-        for index, sign in letters:
-            if index < 1:
-                raise MalformedWordError(f"letter index {index} out of range")
-            if runs and runs[-1][0] == index:
-                runs[-1][1] += sign
-                if runs[-1][1] == 0:
-                    runs.pop()
-            else:
-                runs.append([index, sign])
-        return Word(tuple((i, e) for i, e in runs))
+        return Word.from_code(encode(letters))
 
     @staticmethod
     def from_runs(runs: Sequence[tuple[int, int]]) -> "Word":
         """Build a word from arbitrary runs, merging and cancelling as needed."""
-        letters: list[Letter] = []
-        for index, exp in runs:
-            sign = 1 if exp > 0 else -1
-            letters.extend((index, sign) for _ in range(abs(exp)))
-        return Word.from_letters(letters)
+        return Word.from_code(encode(runs))
 
     # -- basic queries ---------------------------------------------------
 
@@ -96,6 +178,9 @@ class Word:
     def letter_tuple(self) -> tuple[Letter, ...]:
         return tuple(self.letters())
 
+    def code(self) -> str:
+        return encode(self.runs)
+
     def max_index(self) -> int:
         return max((i for i, _ in self.runs), default=0)
 
@@ -105,7 +190,7 @@ class Word:
         return Word(tuple((i, -e) for i, e in reversed(self.runs)))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word.from_runs(self.runs + other.runs)
+        return Word.from_code(self.code() + other.code())
 
     def conjugate_by(self, a: "Word") -> "Word":
         """a * self * a^-1."""
@@ -113,12 +198,8 @@ class Word:
 
     def cyclically_reduce(self) -> tuple["Word", "Word"]:
         """Return (core, conjugator) with self = conjugator * core * conjugator^-1."""
-        letters = self.letter_tuple()
-        i, j = 0, len(letters) - 1
-        while i < j and letters[i] == inverse_letter(letters[j]):
-            i += 1
-            j -= 1
-        return Word.from_letters(letters[i : j + 1]), Word.from_letters(letters[:i])
+        core, conjugator = cyclic_reduce(self.code())
+        return Word.from_code(core), Word.from_code(conjugator)
 
     def is_cyclically_reduced(self) -> bool:
         core, _ = self.cyclically_reduce()
@@ -166,6 +247,14 @@ def parse_word(text: str, n: int | None = None) -> Word:
             raise MalformedWordError(f"letter index {index} out of range")
         runs.append((index, exp))
     return Word.from_runs(runs)
+
+
+def parse_letter(text: str, n: int | None = None) -> Letter:
+    """Parse a single letter, `x<i>` or `x<i>^-1`, of the word grammar."""
+    m = _TOKEN.match(text)
+    if m is None or m.group(2) not in (None, "-1"):
+        raise MalformedWordError(f"bad letter {text!r}")
+    return next(parse_word(text, n).letters())
 
 
 def reduce_letters(raw: Sequence[Letter], n: int) -> Word:

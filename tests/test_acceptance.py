@@ -27,6 +27,7 @@ from filebasis.words import (
     parse_word,
 )
 from test_decision import CayleyBallOracle, random_word
+from test_diagram import scan_special_subpaths
 
 
 def run_cli(capsys, *argv):
@@ -162,7 +163,7 @@ def test_criterion_6_special_selection(toy_presentation, toy_params):
     for d in diagrams:
         sel = dg.special_selection(d, 3)
         for fid, fs in sel.per_face.items():
-            hits = dg.scan_special_subpaths(d.face_label(fid), 3)
+            hits = scan_special_subpaths(d.face_label(fid), 3)
             assert hits == [(fs.start, fs.length)]  # existence and uniqueness
 
     # the strengthened per-face length bound needs full-scale parameters

@@ -186,3 +186,123 @@ class TestEnumWords:
         _, out = run("enum-words", "--n", "2", "--count", "30")
         for text in out["words"]:
             assert str(parse_word(text, 2)) == text
+
+
+class TestTrustBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, *words, flag, "0"]
+            for command, words in [
+                ("gen", ["--n", "3", "--lambda1", "1/15", "--N", "2"]),
+                ("eq", ["x1", "x2"]),
+                ("nf", ["x2 x1"]),
+                ("conj", ["x1", "x2"]),
+            ]
+            for flag in ("--max-len", "--max-states", "--max-edges")
+        ]
+        + [["enum-words", "--n", "0"], ["enum-words", "--n", "-2"], ["eq", "x1", "x2", "--max-len", "-1"]],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_positive_ints_are_usage_errors(self, run, pres_file, argv):
+        if argv[0] in ("eq", "nf", "conj"):
+            argv = [*argv, "--presentation", pres_file]
+        code, out = run(*argv)
+        assert code == 64
+        assert out is None
+
+    @pytest.mark.parametrize("label", ["y3", "q5^-1", "x0", "x1^2", "x4", "x4^-1", "x1 x2", "", 5])
+    def test_bad_dart_label(self, capsys, tmp_path, pres_file, toy_presentation, label):
+        from filebasis import diagram as dg
+
+        data = dg.diagram_to_dict(dg.polygon_diagram(toy_presentation.relators[0].r))
+        data["darts"][0]["label"] = label
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(data))
+        code = main(["check-diagram", str(path), "--presentation", pres_file])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+
+class TestPinnedWitnesses:
+    """Exact stdout of witness-carrying answers; the witnesses depend on the
+    variant order and the heap's tie-breaks, which must not drift."""
+
+    CASES = {
+        "planted pair, diagram engine": (
+            ["eq", "x2 x3^-1", "x2 x1^5 x2^5 x3^5 x1^-1 x2^-1 x3^-1", "--witness"],
+            {
+                "outcome": "yes",
+                "witness": {
+                    "kind": "filling",
+                    "contour": "x2^2 x1 x3^-5 x2^-5 x1^-5 x2^-1",
+                    "trace": [{"position": 7, "face_label": "x1^-1 x2^-1 x1^5 x2^5 x3^5"}],
+                    "edges": 19,
+                    "area": 17,
+                },
+            },
+        ),
+        "planted pair, rewrite engine": (
+            [
+                "eq", "x2 x3^-1", "x2 x1^5 x2^5 x3^5 x1^-1 x2^-1 x3^-1", "--witness",
+                "--engine", "rewrite", "--max-len", "40", "--max-states", "3000",
+            ],
+            {
+                "outcome": "yes",
+                "witness": {
+                    "kind": "rewriting",
+                    "meeting_point": "x2 x1^5 x2^5 x3^5 x1^-1 x2^-1 x3^-1",
+                    "steps_from_u": ["x2 x3^-1", "x2 x1^5 x2^5 x3^5 x1^-1 x2^-1 x3^-1"],
+                    "steps_from_v": ["x2 x1^5 x2^5 x3^5 x1^-1 x2^-1 x3^-1"],
+                },
+            },
+        ),
+        "rotation-zero conjugate pair": (
+            [
+                "conj", "x1 x2^-1", "x1 x2^-1 x1^5 x2^5 x3^5 x1^-1 x2^-1", "--witness",
+                "--max-len", "30", "--max-states", "100",
+            ],
+            {
+                "outcome": "yes",
+                "witness": {
+                    "kind": "conjugacy",
+                    "conjugator": "",
+                    "certificate": {
+                        "kind": "filling",
+                        "contour": "x1^2 x3^-5 x2^-5 x1^-5 x2 x1^-1",
+                        "trace": [{"position": 7, "face_label": "x1^-1 x2^-1 x1^5 x2^5 x3^5"}],
+                        "edges": 18,
+                        "area": 17,
+                    },
+                },
+            },
+        ),
+        "two-face filling": (
+            [
+                "eq", "x1^5 x2^5 x3^5 x2 x1", "x2 x1 x1^5 x2^5 x3^5", "--witness",
+                "--max-len", "40", "--max-states", "3000",
+            ],
+            {
+                "outcome": "yes",
+                "witness": {
+                    "kind": "filling",
+                    "contour": "x1^5 x2^5 x3^5 x2 x1 x3^-5 x2^-5 x1^-6 x2^-1",
+                    "trace": [
+                        {"position": 12, "face_label": "x1^-5 x2 x1 x3^-5 x2^-5"},
+                        {"position": 7, "face_label": "x1^-1 x2^-1 x1^5 x2^5 x3^5"},
+                    ],
+                    "edges": 34,
+                    "area": 34,
+                },
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exact_stdout(self, capsys, pres_file, case):
+        argv, expected = self.CASES[case]
+        code = main([*argv[:3], "--presentation", pres_file, *argv[3:]])
+        assert code == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"

@@ -1,10 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
 from filebasis import diagram as dg
+from filebasis.construction import build_relator
 from filebasis.words import Word, parse_word
 
 
@@ -31,11 +33,77 @@ def glue_second_face(d, relator, inverted=False):
     raise AssertionError("no fitting rotation")
 
 
+# ---------------------------------------------------------------------------
+# an exhaustive oracle for the special selection, with its own run grouping
+
+
+def _is_special_word(seg, n):
+    runs = [(letter, len(list(group))) for letter, group in groupby(seg)]
+    if len(runs) != n:
+        return False
+    ups = [(j, 1) for j in range(1, n + 1)]
+    downs = [(j, -1) for j in range(n, 0, -1)]
+    shape = [letter for letter, _ in runs]
+    if shape not in (ups, downs):
+        return False
+    counts = [c for _, c in runs]
+    return all(c == counts[0] for c in counts)
+
+
+def scan_special_subpaths(label, n):
+    """Exhaustive quadratic scan for qualifying subpaths; a test oracle for
+    uniqueness on small faces."""
+    k = len(label)
+    doubled = tuple(label) + tuple(label)
+    bound = Fraction(n, 2 * n - 2) if n > 1 else Fraction(1, 2)
+    found = []
+    for start in range(k):
+        for length in range(1, k + 1):
+            seg = doubled[start : start + length]
+            if Fraction(length) <= bound * k:
+                continue
+            if _is_special_word(seg, n):
+                found.append((start, length))
+    return found
+
+
+@pytest.fixture(scope="module")
+def theorem_relator(theorem_params):
+    return build_relator(theorem_params, 1, parse_word("x2 x1", 63)).r
+
+
 class TestValidate:
     def test_polygon_valid(self, toy_face, toy_relator):
         report = dg.validate_diagram(toy_face, [toy_relator])
         assert report.ok
         assert report.face_matches["f0"] == (0, 1, 0)
+
+    @pytest.mark.parametrize("offset", range(17))
+    def test_match_every_toy_rotation(self, toy_relator, offset):
+        # the face reads the relator from its letter `offset` on, so the
+        # relator starts at rotation 17 - offset of the face label
+        letters = toy_relator.letter_tuple()
+        face = dg.polygon_diagram(Word.from_letters(letters[offset:] + letters[:offset]))
+        report = dg.validate_diagram(face, [toy_relator])
+        assert report.ok
+        assert report.face_matches["f0"] == (0, 1, (17 - offset) % 17)
+
+    @pytest.mark.parametrize(
+        "reading, expected",
+        [("offset", (0, 1, 37755)), ("inverse", (0, -1, 0))],
+        ids=["offset-2000", "inverse"],
+    )
+    def test_match_theorem_scale_face(self, theorem_relator, reading, expected):
+        letters = theorem_relator.letter_tuple()
+        assert len(letters) == 39755
+        if reading == "offset":
+            label = letters[2000:] + letters[:2000]
+        else:
+            label = theorem_relator.inverse().letter_tuple()
+        face = dg.polygon_diagram(Word.from_letters(label))
+        report = dg.validate_diagram(face, [theorem_relator])
+        assert report.ok
+        assert report.face_matches["f0"] == expected
 
     def test_non_relator_face_rejected(self, toy_relator):
         d = dg.polygon_diagram(parse_word("x1 x2 x3", 3))
@@ -96,7 +164,7 @@ class TestSpecialSelection:
         assert label == [(1, 1)] * 5 + [(2, 1)] * 5 + [(3, 1)] * 5
 
     def test_uniqueness_scan(self, toy_relator):
-        hits = dg.scan_special_subpaths(toy_relator.letter_tuple(), 3)
+        hits = scan_special_subpaths(toy_relator.letter_tuple(), 3)
         assert len(hits) == 1
         assert hits[0] == (0, 15)
 
@@ -104,7 +172,7 @@ class TestSpecialSelection:
         letters = toy_relator.letter_tuple()
         for k in range(len(letters)):
             rot = letters[k:] + letters[:k]
-            assert len(dg.scan_special_subpaths(rot, 3)) == 1
+            assert len(scan_special_subpaths(rot, 3)) == 1
 
     def test_mirror_direction(self, toy_face):
         m = dg.mirror_copy(toy_face)
@@ -123,7 +191,7 @@ class TestSpecialSelection:
         sel = dg.special_selection(d2, 3)
         for fid, fs in sel.per_face.items():
             label = d2.face_label(fid)
-            assert dg.scan_special_subpaths(label, 3) == [(fs.start, fs.length)]
+            assert scan_special_subpaths(label, 3) == [(fs.start, fs.length)]
 
 
 class TestFaceRank:
@@ -147,12 +215,13 @@ class TestCancellable:
         assert dg.find_immediately_cancellable(toy_face) == []
         assert dg.is_weakly_reduced(toy_face)
 
-    def test_sphere_double(self, toy_relator):
-        s = dg.sphere_double(toy_relator)
-        assert dg.validate_diagram(s, [toy_relator]).ok
-        assert s.map.is_spherical
-        pairs = dg.find_immediately_cancellable(s)
-        assert pairs == [frozenset({"back", "front"})]
+    def test_sphere_double(self, toy_relator, theorem_relator):
+        for relator in (toy_relator, theorem_relator):
+            s = dg.sphere_double(relator)
+            assert dg.validate_diagram(s, [relator]).ok
+            assert s.map.is_spherical
+            pairs = dg.find_immediately_cancellable(s)
+            assert pairs == [frozenset({"back", "front"})], len(relator)
 
     def test_glued_same_orientation_not_cancellable(self, toy_face, toy_relator):
         d2 = glue_second_face(toy_face, toy_relator, inverted=False)

@@ -7,12 +7,17 @@ from filebasis.words import (
     EMPTY,
     MalformedWordError,
     Word,
+    cyclic_reduce,
     deglex_compare,
     deglex_key,
     deglex_successor,
+    encode,
+    free_reduce,
     inverse_letter,
+    invert,
     iter_reduced_words,
     iter_regular_words,
+    least_rotation,
     letter_rank,
     parse_word,
     rank_letter,
@@ -63,6 +68,62 @@ class TestReduce:
         word = Word.from_letters(raw)
         seq = word.letter_tuple()
         assert all(a != inverse_letter(b) for a, b in zip(seq, seq[1:]))
+
+
+# naive references for the word kernel, on (index, sign) tuples
+
+
+def naive_free_reduce(seq):
+    seq = list(seq)
+    i = 0
+    while i + 1 < len(seq):
+        if seq[i] == (seq[i + 1][0], -seq[i + 1][1]):
+            del seq[i : i + 2]
+            i = 0
+        else:
+            i += 1
+    return tuple(seq)
+
+
+def naive_cyclic_reduce(seq):
+    seq = naive_free_reduce(seq)
+    while len(seq) > 1 and seq[0] == (seq[-1][0], -seq[-1][1]):
+        seq = seq[1:-1]
+    return seq
+
+
+class TestKernel:
+    @given(letter_lists)
+    def test_free_reduce_deletes_inverse_pairs(self, raw):
+        assert free_reduce(encode(raw)) == encode(naive_free_reduce(raw))
+        assert Word.from_letters(raw).letter_tuple() == naive_free_reduce(raw)
+
+    @given(letter_lists)
+    def test_cyclic_reduce_strips_inverse_ends(self, raw):
+        core, conjugator = cyclic_reduce(encode(raw))
+        assert core == encode(naive_cyclic_reduce(raw))
+        assert free_reduce(conjugator + core + invert(conjugator)) == free_reduce(encode(raw))
+
+    @given(st.lists(st.sampled_from([(1, 1), (1, -1), (2, 1)]), max_size=12) | letter_lists)
+    def test_least_rotation_is_min_rotation(self, raw):
+        code = encode(raw)
+        rotations = [code[k:] + code[:k] for k in range(len(code))]
+        assert least_rotation(code) == min(rotations, default="")
+
+    @given(letter_lists, letter_lists)
+    def test_encoding_preserves_tuple_order(self, a, b):
+        assert (encode(a) < encode(b)) == (tuple(a) < tuple(b))
+        assert (encode(a) == encode(b)) == (tuple(a) == tuple(b))
+
+    @given(letters)
+    def test_inverse_letter_code(self, letter):
+        assert encode([inverse_letter(letter)]) == chr(ord(encode([letter])) ^ 1)
+
+    @given(letter_lists)
+    def test_code_round_trip(self, raw):
+        word = Word.from_letters(raw)
+        assert word.code() == encode(word.letter_tuple())
+        assert Word.from_code(word.code()) == word
 
 
 class TestGroupOps:
