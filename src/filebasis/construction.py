@@ -10,12 +10,13 @@ completeness length bound.  All inequality checks use exact rationals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import decision
-from .words import EMPTY, Word, iter_reduced_words, iter_regular_words, parse_word
+from .words import Word, ab_vector, iter_reduced_words, parse_word, relator_variants
 
 
 class MalformedParamsError(ValueError):
@@ -241,6 +242,23 @@ class Presentation:
     def relator_words(self) -> list[Word]:
         return [rel.r for rel in self.relators]
 
+    # -- search data, computed once per presentation ----------------------
+
+    @cached_property
+    def variants(self) -> tuple[str, ...]:
+        """Code strings of every rotation of each relator and of its inverse."""
+        return relator_variants(self.relator_words())
+
+    @cached_property
+    def lattice(self) -> tuple[tuple[int, ...], ...]:
+        """Abelian images of the relators, vectors of length n."""
+        return tuple(ab_vector(r.code(), self.params.n) for r in self.relator_words())
+
+    @cached_property
+    def max_relator_len(self) -> int:
+        """L, the length of the longest relator (0 when there is none)."""
+        return max((len(rel.r) for rel in self.relators), default=0)
+
     # -- JSON round-trip -------------------------------------------------
 
     def as_dict(self) -> dict:
@@ -292,14 +310,14 @@ def next_w(
 
     A candidate must avoid x_1^{+-1} at the start and x_n^{+-1} at the
     end, and must not be equal (bounded equality test) to any regular
-    word of length up to (n+1)|w| + n^4 L.  With no relators yet the
-    test collapses to free-group equality, where a reduced word equals a
-    regular word only if it is itself regular, so shape filtering alone
-    decides; this keeps step 1 fast even at large n.
+    word of length up to (n+1)|w| + n^4 L: its regular normal form search
+    must answer no.  With no relators yet the test collapses to
+    free-group equality, where a reduced word equals a regular word only
+    if it is itself regular, so shape filtering alone decides; this keeps
+    step 1 fast even at large n.
     """
     n = p.n
-    rel_words = [rel.r for rel in relators]
-    L = max((len(r) for r in rel_words), default=0)
+    presentation = Presentation(p, tuple(relators))
     scanned = 0
     for w in iter_reduced_words(n):
         scanned += 1
@@ -307,24 +325,13 @@ def next_w(
             return decision.Outcome(decision.EXCEEDED)
         if not _shape_ok(w, n):
             continue
-        if not rel_words:
+        if not relators:
             return decision.Outcome(decision.YES, witness=w)
-        bound = (n + 1) * len(w) + n**4 * L
-        bound = min(bound, budget.max_word_len)
-        matched = False
-        exceeded = False
-        for u in iter_regular_words(n, bound):
-            out = decision.in_D(rel_words, u, w, budget, p.q, n=n)
-            if out.is_yes:
-                matched = True
-                break
-            if out.exceeded:
-                exceeded = True
-        if matched:
-            continue
-        if exceeded:
-            return decision.Outcome(decision.EXCEEDED)
-        return decision.Outcome(decision.YES, witness=w)
+        out = decision.regular_normal_form(presentation, w, budget)
+        if out.exceeded:
+            return out
+        if out.is_no:
+            return decision.Outcome(decision.YES, witness=w)
     raise AssertionError("unreachable: word enumeration is infinite")
 
 

@@ -21,14 +21,15 @@ words with relator-variant insertions, ordered by accumulated face area.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .words import (
     EMPTY,
     Word,
+    ab_vector,
     cyclic_insert,
     cyclic_reduce,
     free_reduce,
@@ -38,6 +39,9 @@ from .words import (
     least_rotation,
     relator_variants,
 )
+
+if TYPE_CHECKING:
+    from .construction import Presentation
 
 YES = "yes"
 NO = "no"
@@ -105,13 +109,6 @@ class ConjugacyWitness:
 # abelianized obstruction
 
 
-def _ab_vector(code: str, n: int) -> tuple[int, ...]:
-    vec = [0] * n
-    for c in map(ord, code):
-        vec[c >> 1] += 1 if c & 1 else -1
-    return tuple(vec)
-
-
 def _ab_in_lattice(target: Sequence[int], generators: Sequence[Sequence[int]]) -> Optional[bool]:
     """Exact membership of `target` in the integer span of `generators`.
 
@@ -147,12 +144,10 @@ def _ab_in_lattice(target: Sequence[int], generators: Sequence[Sequence[int]]) -
     return all(x.denominator == 1 for x in solution)
 
 
-def ab_obstructed(code: str, relators: Sequence[Word], n: int) -> bool:
+def ab_obstructed(code: str, presentation: Presentation) -> bool:
     """True when the abelianization certifies that no filling of code exists."""
-    membership = _ab_in_lattice(
-        _ab_vector(code, n), [_ab_vector(r.code(), n) for r in relators]
-    )
-    return membership is False
+    target = ab_vector(code, presentation.params.n)
+    return _ab_in_lattice(target, presentation.lattice) is False
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +218,9 @@ def _rebuild_trace(parent: dict, word: str) -> tuple:
     return tuple(reversed(steps))
 
 
-def replay_fill(witness: FillWitness, relators: Sequence[Word]) -> bool:
+def replay_fill(witness: FillWitness, presentation: Presentation) -> bool:
     """Independent replay of a fill witness by pure free/cyclic reduction."""
-    allowed = set(relator_variants(relators))
+    allowed = set(presentation.variants)
     word = least_rotation(cyclic_reduce(witness.contour)[0])
     area = 0
     for j, variant in witness.trace:
@@ -245,21 +240,13 @@ def replay_fill(witness: FillWitness, relators: Sequence[Word]) -> bool:
 
 
 def in_C(
-    relators: Sequence[Word],
-    E: Fraction | int,
-    u: Word,
-    v: Word,
-    budget: Budget,
-    n: int | None = None,
+    presentation: Presentation, E: Fraction | int, u: Word, v: Word, budget: Budget
 ) -> Outcome:
     """Does a disc diagram over the relators with at most E edges have contour uv^-1?"""
     z = u.code() + v.inverse().code()
     zlen = len(z)
     e_genuine = floor(E)
-    if n is None:
-        n = max([u.max_index(), v.max_index()] + [r.max_index() for r in relators], default=1)
-        n = max(n, 1)
-    if ab_obstructed(z, relators, n):
+    if ab_obstructed(z, presentation):
         return Outcome(NO, witness="abelianized obstruction")
     e_cap = min(e_genuine, budget.max_edges)
     area_bound = 2 * e_cap - zlen
@@ -271,8 +258,7 @@ def in_C(
     core = cyclic_reduce(z)[0]
     if not core:
         return Outcome(YES, witness=FillWitness(z, (), edges=zlen // 2, area=0))
-    variants = relator_variants(relators)
-    result = _fill_search(variants, core, area_bound, budget)
+    result = _fill_search(presentation.variants, core, area_bound, budget)
     if result.found:
         edges = (result.area + zlen) // 2
         return Outcome(YES, witness=FillWitness(z, result.trace, edges=edges, area=result.area))
@@ -281,28 +267,21 @@ def in_C(
     return Outcome(EXCEEDED)
 
 
-def d_edge_bound(relators: Sequence[Word], u: Word, v: Word, q: Fraction) -> Fraction:
-    length_cap = max((len(r) for r in relators), default=0)
-    return Fraction(1 + q * length_cap, 2) * (len(u) + len(v))
+def d_edge_bound(presentation: Presentation, u: Word, v: Word) -> Fraction:
+    q = presentation.params.q
+    return Fraction(1 + q * presentation.max_relator_len, 2) * (len(u) + len(v))
 
 
-def in_D(
-    relators: Sequence[Word],
-    u: Word,
-    v: Word,
-    budget: Budget,
-    q: Fraction,
-    n: int | None = None,
-) -> Outcome:
+def in_D(presentation: Presentation, u: Word, v: Word, budget: Budget) -> Outcome:
     """The bounded-diagram equality test with E = (1+qL)/2 * (|u|+|v|)."""
-    return in_C(relators, d_edge_bound(relators, u, v, q), u, v, budget, n=n)
+    return in_C(presentation, d_edge_bound(presentation, u, v), u, v, budget)
 
 
 # ---------------------------------------------------------------------------
 # rewriting engine (bidirectional relator-insertion search)
 
 
-def rewrite_search(relators: Sequence[Word], u: Word, v: Word, budget: Budget) -> Outcome:
+def rewrite_search(presentation: Presentation, u: Word, v: Word, budget: Budget) -> Outcome:
     """Bidirectional search by relator insertion plus free reduction.
 
     A no is certified only when both reachable sets close without hitting
@@ -310,7 +289,7 @@ def rewrite_search(relators: Sequence[Word], u: Word, v: Word, budget: Budget) -
     """
     start_u = u.code()
     start_v = v.code()
-    variants = relator_variants(relators)
+    variants = presentation.variants
     sides: list[dict] = [{start_u: None}, {start_v: None}]
     frontiers = [[start_u], [start_v]]
     complete = True
@@ -351,8 +330,8 @@ def rewrite_search(relators: Sequence[Word], u: Word, v: Word, budget: Budget) -
     return Outcome(EXCEEDED)
 
 
-def replay_rewrite(witness: RewriteWitness, relators: Sequence[Word], u: Word, v: Word) -> bool:
-    variants = set(relator_variants(relators))
+def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: Word, v: Word) -> bool:
+    variants = set(presentation.variants)
 
     def check_chain(start: str, steps: Sequence[str]) -> bool:
         if not steps or steps[0] != start or steps[-1] != witness.meeting_point:
@@ -374,7 +353,9 @@ def replay_rewrite(witness: RewriteWitness, relators: Sequence[Word], u: Word, v
 # top-level procedures
 
 
-def equals_in_G(presentation, u: Word, v: Word, budget: Budget, engine: str = "diagram") -> Outcome:
+def equals_in_G(
+    presentation: Presentation, u: Word, v: Word, budget: Budget, engine: str = "diagram"
+) -> Outcome:
     """Bounded equality test in the presented group.
 
     A yes is always sound.  A no is exact for the bounded-diagram question;
@@ -384,17 +365,15 @@ def equals_in_G(presentation, u: Word, v: Word, budget: Budget, engine: str = "d
     """
     if u == v:
         return Outcome(YES, witness=FillWitness(u.code() + v.inverse().code(), (), len(u), 0))
-    relators = [rel.r for rel in presentation.relators]
-    n = presentation.params.n
     if engine == "diagram":
-        return in_D(relators, u, v, budget, presentation.params.q, n=n)
+        return in_D(presentation, u, v, budget)
     if engine == "rewrite":
-        return rewrite_search(relators, u, v, budget)
+        return rewrite_search(presentation, u, v, budget)
     if engine == "both":
-        d = in_D(relators, u, v, budget, presentation.params.q, n=n)
+        d = in_D(presentation, u, v, budget)
         if d.is_yes:
             return d
-        r = rewrite_search(relators, u, v, budget)
+        r = rewrite_search(presentation, u, v, budget)
         if r.is_yes:
             return r
         if d.is_no:
@@ -405,16 +384,20 @@ def equals_in_G(presentation, u: Word, v: Word, budget: Budget, engine: str = "d
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def regular_normal_form(presentation, g: Word, budget: Budget, engine: str = "diagram") -> Outcome:
-    """Deg-lex-least regular word equal to g within the bounded search."""
+def regular_normal_form(
+    presentation: Presentation, g: Word, budget: Budget, engine: str = "diagram"
+) -> Outcome:
+    """Deg-lex-least regular word equal to g within the bounded search.
+
+    The scan runs over the regular words up to the completeness length
+    (n+1)|g| + n^4 L.  When max_word_len cuts it shorter, a scan that
+    matches nothing is budget-exceeded, not no.
+    """
     n = presentation.params.n
-    relators = [rel.r for rel in presentation.relators]
-    length_cap = max((len(r) for r in relators), default=0)
-    bound = (n + 1) * len(g) + n**4 * length_cap
-    bound = min(bound, budget.max_word_len)
+    bound = (n + 1) * len(g) + n**4 * presentation.max_relator_len
+    exceeded_any = bound > budget.max_word_len
     scanned = 0
-    exceeded_any = False
-    for u in iter_regular_words(n, bound):
+    for u in iter_regular_words(n, min(bound, budget.max_word_len)):
         scanned += 1
         if scanned > budget.max_states:
             return Outcome(EXCEEDED)
@@ -443,17 +426,14 @@ def _free_conjugacy(u: Word, v: Word) -> Optional[Word]:
     return b * p.inverse() * a.inverse()
 
 
-def are_conjugate(presentation, u: Word, v: Word, budget: Budget) -> Outcome:
+def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) -> Outcome:
     """Bounded conjugacy test following the trivial-word / annulus algorithm.
 
     The annular-diagram step is realized by cutting the annulus: a
     conjugator s of length at most q(|u|+|v|) plus a disc filling of
     s u s^-1 v^-1 with face area at most 2q(|u|+|v|) - |u| - |v|.
     """
-    params = presentation.params
-    relators = [rel.r for rel in presentation.relators]
-    n = params.n
-    q = params.q
+    n = presentation.params.n
     incomplete = False
 
     # Step 1: handle trivial inputs by the equality test.
@@ -473,13 +453,10 @@ def are_conjugate(presentation, u: Word, v: Word, budget: Budget) -> Outcome:
         return Outcome(YES, witness=ConjugacyWitness(s))
 
     # Abelianized conjugacy obstruction: conjugate elements have equal images.
-    diff = _ab_vector(u.code(), n)
-    vv = _ab_vector(v.code(), n)
-    diff = tuple(a - b for a, b in zip(diff, vv))
-    if _ab_in_lattice(diff, [_ab_vector(r.code(), n) for r in relators]) is False:
+    if ab_obstructed(u.code() + v.inverse().code(), presentation):
         return Outcome(NO, witness="abelianized obstruction")
 
-    bound_len = ceil(q * (len(u) + len(v)))
+    bound_len = ceil(presentation.params.q * (len(u) + len(v)))
 
     # Step 2: trivial words up to the length bound (budget-capped).
     trivial_words: list[Word] = []
@@ -502,9 +479,10 @@ def are_conjugate(presentation, u: Word, v: Word, budget: Budget) -> Outcome:
     if not words_complete:
         incomplete = True
 
-    # Steps 3-4: cut-annulus search over conjugators.
-    face_words = relators + trivial_words
-    variants = relator_variants(face_words)
+    # Steps 3-4: cut-annulus search over conjugators.  Every z below has
+    # the abelian image of u v^-1, which passed the test above, and the
+    # trivial words' images lie in the relator lattice: no z is obstructed.
+    variants = relator_variants(presentation.relator_words() + trivial_words)
     area_bound = 2 * bound_len - (len(u) + len(v))
     scanned = 0
     search_complete = True
@@ -516,8 +494,6 @@ def are_conjugate(presentation, u: Word, v: Word, budget: Budget) -> Outcome:
             search_complete = False
             break
         z = free_reduce(s.code() + u.code() + s.inverse().code() + v.inverse().code())
-        if ab_obstructed(z, face_words, n):
-            continue
         result = _fill_search(variants, z, area_bound, budget)
         if result.found:
             witness = FillWitness(z, result.trace, edges=(result.area + len(z)) // 2, area=result.area)

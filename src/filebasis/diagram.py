@@ -13,7 +13,7 @@ maps, counting contour regions as faces); no geometric embedding is kept.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
 from typing import Iterable, Optional, Sequence
@@ -623,7 +623,7 @@ def metrics(d: Diagram, sel: Selection) -> DiagramMetrics:
 
 
 def check_condition_X(
-    m: DiagramMap, sel: Selection, mu: Fraction, labels: Optional[dict] = None
+    m: DiagramMap, sel: Selection, mu: Fraction
 ) -> tuple[bool, DiagramMetrics]:
     """S >= E - mu * Sigma for a semisimple map.
 

@@ -123,6 +123,14 @@ def relator_variants(relators: Iterable[Word]) -> tuple[str, ...]:
     return tuple(sorted(variants))
 
 
+def ab_vector(code: str, n: int) -> tuple[int, ...]:
+    """Image of code in the free abelian group on x_1..x_n: exponent sums."""
+    vec = [0] * n
+    for c in map(ord, code):
+        vec[c >> 1] += 1 if c & 1 else -1
+    return tuple(vec)
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced group word in run-normal form."""

@@ -236,9 +236,9 @@ def test_criterion_9_engine_agreement(toy_presentation, toy_budget):
         o = oracle.equal(u, v)
 
         if d.is_yes and isinstance(d.witness, dec.FillWitness):
-            assert dec.replay_fill(d.witness, [r1])
+            assert dec.replay_fill(d.witness, toy_presentation)
         if r.is_yes and isinstance(r.witness, dec.RewriteWitness):
-            assert dec.replay_rewrite(r.witness, [r1], u, v)
+            assert dec.replay_rewrite(r.witness, toy_presentation, u, v)
 
         decided = [x.value for x in (d, r) if x.value != EXCEEDED]
         if len(decided) == 2:
@@ -269,7 +269,7 @@ def test_criterion_10_conjugacy(toy_presentation):
             assert s * u * s.inverse() == v
         else:
             z = s * u * s.inverse() * v.inverse()
-            assert dec.replay_fill(out.witness.certificate, toy_presentation.relator_words())
+            assert dec.replay_fill(out.witness.certificate, toy_presentation)
         checked += 1
 
     # agreement with a brute-force conjugator scan bounded by q(|u|+|v|)

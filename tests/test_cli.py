@@ -114,6 +114,12 @@ class TestNf:
         assert code == 0
         assert out["normal_form"] == "x1^5 x2^5 x3^5"
 
+    def test_scan_cut_by_max_len(self, run, pres_file):
+        # the input is regular, but the scan stops at length 3 < |x1^3 x2|
+        code, out = run("nf", "x1^3 x2", "--presentation", pres_file, "--max-len", "3")
+        assert code == 2
+        assert out["outcome"] == "budget-exceeded"
+
 
 class TestConj:
     def test_shift(self, run, pres_file):

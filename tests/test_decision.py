@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from filebasis import construction, words
 from filebasis import decision as dec
 from filebasis.construction import Presentation
 from filebasis.decision import (
@@ -87,6 +88,12 @@ class CayleyBallOracle:
         return False if complete else None
 
 
+@pytest.fixture(scope="module")
+def free_presentation(toy_params):
+    """The toy alphabet without relators: the free group of rank 3."""
+    return Presentation(toy_params)
+
+
 class TestBudget:
     def test_positive_caps(self):
         with pytest.raises(ValueError):
@@ -96,87 +103,82 @@ class TestBudget:
 
 
 class TestInC:
-    def test_free_equal(self, toy_budget):
-        out = in_C([], 1, w("x1"), w("x1"), toy_budget)
+    def test_free_equal(self, free_presentation, toy_budget):
+        out = in_C(free_presentation, 1, w("x1"), w("x1"), toy_budget)
         assert out.is_yes
         assert out.witness.edges == 1
 
-    def test_free_unequal(self, toy_budget):
-        assert in_C([], 100, w("x1"), w("x2"), toy_budget).is_no
+    def test_free_unequal(self, free_presentation, toy_budget):
+        assert in_C(free_presentation, 100, w("x1"), w("x2"), toy_budget).is_no
 
     def test_one_face_witness(self, toy_presentation, toy_budget):
         r1 = toy_presentation.relators[0].r
-        out = in_C([r1], len(r1), w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
+        out = in_C(toy_presentation, len(r1), w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
         assert out.is_yes
-        assert replay_fill(out.witness, [r1])
+        assert replay_fill(out.witness, toy_presentation)
         assert out.witness.edges <= len(r1)
 
     def test_edge_bound_too_small(self, toy_presentation, toy_budget):
         r1 = toy_presentation.relators[0].r
         # uv^-1 = r1 needs 17 edges; 16 cannot host any diagram
-        out = in_C([r1], 16, w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
+        out = in_C(toy_presentation, 16, w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
         assert not out.is_yes
 
     def test_ab_obstruction_is_no(self, toy_presentation, toy_budget):
-        r1 = toy_presentation.relators[0].r
-        out = in_C([r1], 10**6, w("x1"), w("x2"), toy_budget)
+        out = in_C(toy_presentation, 10**6, w("x1"), w("x2"), toy_budget)
         assert out.is_no
 
     def test_budget_exceeded_not_no(self, toy_presentation):
-        r1 = toy_presentation.relators[0].r
         tiny = Budget(max_edges=30, max_word_len=20, max_states=10)
         # same abelianized image but no small filling: must not claim no
-        out = in_C([r1], 10**6, w("x1 x2"), w("x2 x1"), tiny)
+        out = in_C(toy_presentation, 10**6, w("x1 x2"), w("x2 x1"), tiny)
         assert out.value in (YES, EXCEEDED)
 
     def test_fill_witness_replay_rejects_tampering(self, toy_presentation, toy_budget):
         r1 = toy_presentation.relators[0].r
-        out = in_C([r1], len(r1), w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
+        out = in_C(toy_presentation, len(r1), w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
         forged = dec.FillWitness(out.witness.contour, out.witness.trace, out.witness.edges + 1, out.witness.area)
-        assert not replay_fill(forged, [r1])
+        assert not replay_fill(forged, toy_presentation)
 
 
 class TestInD:
     def test_edge_bound_formula(self, toy_presentation):
-        r1 = toy_presentation.relators[0].r
         q = toy_presentation.params.q
         u, v = w("x1 x2"), w("x3")
-        assert d_edge_bound([r1], u, v, q) == Fraction(1 + q * 17, 2) * 3
+        assert d_edge_bound(toy_presentation, u, v) == Fraction(1 + q * 17, 2) * 3
 
-    def test_trivial_yes(self, toy_budget):
-        assert in_D([], w("x1 x2"), w("x1 x2"), toy_budget, Fraction(1)).is_yes
+    def test_trivial_yes(self, free_presentation, toy_budget):
+        assert in_D(free_presentation, w("x1 x2"), w("x1 x2"), toy_budget).is_yes
 
     def test_relator_yes(self, toy_presentation, toy_budget):
-        r1 = toy_presentation.relators[0].r
-        q = toy_presentation.params.q
-        out = in_D([r1], w("x2 x1"), w("x1^5 x2^5 x3^5"), toy_budget, q)
+        out = in_D(toy_presentation, w("x2 x1"), w("x1^5 x2^5 x3^5"), toy_budget)
         assert out.is_yes
-        assert replay_fill(out.witness, [r1])
+        assert replay_fill(out.witness, toy_presentation)
 
-    def test_free_no(self, toy_budget):
-        assert in_D([], w("x2 x1"), w("x1 x2"), toy_budget, Fraction(1)).is_no
+    def test_free_no(self, free_presentation, toy_budget):
+        assert in_D(free_presentation, w("x2 x1"), w("x1 x2"), toy_budget).is_no
 
 
 class TestRewrite:
-    def test_identical(self, toy_budget):
-        out = rewrite_search([], w("x1"), w("x1"), toy_budget)
+    def test_identical(self, free_presentation, toy_budget):
+        out = rewrite_search(free_presentation, w("x1"), w("x1"), toy_budget)
         assert out.is_yes
 
-    def test_free_no(self, toy_budget):
-        assert rewrite_search([], w("x1"), w("x2"), toy_budget).is_no
+    def test_free_no(self, free_presentation, toy_budget):
+        assert rewrite_search(free_presentation, w("x1"), w("x2"), toy_budget).is_no
 
     def test_relator_insertion(self, toy_presentation, toy_budget):
         r1 = toy_presentation.relators[0].r
-        out = rewrite_search([r1], r1, EMPTY, toy_budget)
+        out = rewrite_search(toy_presentation, r1, EMPTY, toy_budget)
         assert out.is_yes
-        assert replay_rewrite(out.witness, [r1], r1, EMPTY)
+        assert replay_rewrite(out.witness, toy_presentation, r1, EMPTY)
 
     def test_conjugated_relator(self, toy_presentation, toy_budget):
         r1 = toy_presentation.relators[0].r
         conj = r1.conjugate_by(w("x3 x1^-1"))
-        out = rewrite_search([r1], conj, EMPTY, toy_budget)
+        out = rewrite_search(toy_presentation, conj, EMPTY, toy_budget)
         assert out.is_yes
-        assert replay_rewrite(out.witness, [r1], conj, EMPTY)
+        assert replay_rewrite(out.witness, toy_presentation, conj, EMPTY)
 
 
 class TestEqualsInG:
@@ -237,6 +239,38 @@ class TestNormalForm:
         assert out.is_yes
         assert out.witness == w("x1^5 x2^5 x3^5")
 
+    def test_scan_cut_by_max_len_is_not_no(self, toy_presentation):
+        # x1^3 x2 is its own normal form, but max_word_len stops the scan of
+        # regular words at length 3, so the search cannot answer no
+        budget = Budget(max_edges=10**6, max_word_len=3, max_states=8000)
+        out = regular_normal_form(toy_presentation, w("x1^3 x2"), budget)
+        assert out.exceeded
+
+    def test_variants_built_once(self, toy_params, toy_presentation, toy_budget, monkeypatch):
+        built = []
+        original = words.relator_variants
+
+        def counting(relators):
+            built.append(1)
+            return original(relators)
+
+        for module in (words, dec, construction):
+            if hasattr(module, "relator_variants"):
+                monkeypatch.setattr(module, "relator_variants", counting)
+        scanned = []
+        equals = dec.equals_in_G
+
+        def counting_equals(*args, **kwargs):
+            scanned.append(1)
+            return equals(*args, **kwargs)
+
+        monkeypatch.setattr(dec, "equals_in_G", counting_equals)
+        fresh = Presentation(toy_params, toy_presentation.relators)
+        out = regular_normal_form(fresh, w("x2 x1"), toy_budget)
+        assert out.is_yes
+        assert len(scanned) >= 2
+        assert len(built) == 1
+
     def test_idempotent(self, toy_presentation, toy_budget, rng):
         for _ in range(10):
             g = random_word(rng, max_len=4)
@@ -290,21 +324,20 @@ class TestConjugacy:
 class TestAbelianization:
     def test_relator_vector_member(self, toy_presentation):
         r1 = toy_presentation.relators[0].r
-        assert not ab_obstructed(r1.code(), [r1], 3)
+        assert not ab_obstructed(r1.code(), toy_presentation)
 
     def test_generator_not_member(self, toy_presentation):
-        r1 = toy_presentation.relators[0].r
-        assert ab_obstructed(w("x1").code(), [r1], 3)
+        assert ab_obstructed(w("x1").code(), toy_presentation)
 
-    def test_empty_relators(self):
-        assert ab_obstructed(w("x1").code(), [], 3)
-        assert not ab_obstructed(w("x1 x1^-1").code(), [], 3)
+    def test_empty_relators(self, free_presentation):
+        assert ab_obstructed(w("x1").code(), free_presentation)
+        assert not ab_obstructed(w("x1 x1^-1").code(), free_presentation)
 
     @given(st.integers(-4, 4))
-    def test_multiples_of_relator(self, t):
-        r1 = parse_word("x1^5 x2^5 x3^5 x1^-1 x2^-1", 3)
+    def test_multiples_of_relator(self, toy_presentation, t):
+        assert str(toy_presentation.relators[0].r) == "x1^5 x2^5 x3^5 x1^-1 x2^-1"
         vec = [t * 4, t * 4, t * 5]
         seq = []
         for i, k in enumerate(vec, start=1):
             seq.extend([(i, 1 if k > 0 else -1)] * abs(k))
-        assert not ab_obstructed(encode(seq), [r1], 3)
+        assert not ab_obstructed(encode(seq), toy_presentation)
