@@ -16,7 +16,14 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import decision
-from .words import Word, ab_vector, iter_reduced_words, parse_word, relator_variants
+from .words import (
+    Word,
+    ab_vector,
+    iter_reduced_words,
+    parse_word,
+    reduced_variants,
+    relator_variants,
+)
 
 
 class MalformedParamsError(ValueError):
@@ -250,6 +257,11 @@ class Presentation:
         return relator_variants(self.relator_words())
 
     @cached_property
+    def faces(self) -> tuple[tuple[str, str], ...]:
+        """Each variant with its free reduction (`words.reduced_variants`)."""
+        return reduced_variants(self.variants)
+
+    @cached_property
     def lattice(self) -> tuple[tuple[int, ...], ...]:
         """Abelian images of the relators, vectors of length n."""
         return tuple(ab_vector(r.code(), self.params.n) for r in self.relator_words())
@@ -262,7 +274,7 @@ class Presentation:
     # -- JSON round-trip -------------------------------------------------
 
     def as_dict(self) -> dict:
-        return {
+        data = {
             "n": self.params.n,
             "lambda1": str(self.params.lambda1),
             "N": self.params.N,
@@ -271,6 +283,9 @@ class Presentation:
                 for rel in self.relators
             ],
         }
+        if self.truncated:  # written only when set, so complete output is unchanged
+            data["truncated"] = True
+        return data
 
     def dumps(self) -> str:
         return json.dumps(self.as_dict(), indent=2)
@@ -292,7 +307,10 @@ class Presentation:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedParamsError(f"bad presentation data: {exc}") from exc
-        return Presentation(params=params, relators=relators)
+        truncated = data.get("truncated", False)
+        if not isinstance(truncated, bool):
+            raise MalformedParamsError(f"bad presentation data: truncated={truncated!r}")
+        return Presentation(params=params, relators=relators, truncated=truncated)
 
     @staticmethod
     def loads(text: str) -> "Presentation":

@@ -31,12 +31,14 @@ from .words import (
     Word,
     ab_vector,
     cyclic_insert,
+    cyclic_join,
     cyclic_reduce,
     free_reduce,
     insert,
     iter_reduced_words,
     iter_regular_words,
     least_rotation,
+    reduced_variants,
     relator_variants,
 )
 
@@ -163,18 +165,22 @@ class _SearchResult:
 
 
 def _fill_search(
-    variants: Sequence[str],
+    faces: Sequence[tuple[str, str]],
     start: str,
     area_bound: int,
     budget: Budget,
 ) -> _SearchResult:
-    """Dijkstra over canonical cyclic words; cost = accumulated face boundary length."""
+    """Dijkstra over canonical cyclic words; cost = accumulated face boundary length.
+
+    faces pairs each relator variant, as the trace records it, with its
+    free reduction, which is what gets inserted (`reduced_variants`).
+    """
     start = least_rotation(cyclic_reduce(start)[0])
     if not start:
         return _SearchResult(found=True)
-    if area_bound <= 0 or not variants:
+    if area_bound <= 0 or not faces:
         return _SearchResult(found=False)
-    min_variant = min(len(v) for v in variants)
+    min_variant = min(len(variant) for variant, _ in faces)
     best: dict[str, int] = {start: 0}
     parent: dict[str, tuple] = {start: None}
     heap: list[tuple[int, str]] = [(0, start)]
@@ -183,22 +189,24 @@ def _fill_search(
         area, word = heapq.heappop(heap)
         if area > best.get(word, -1):
             continue
-        for variant in variants:
+        for variant, face in faces:
             child_area = area + len(variant)
             if child_area > area_bound:
                 continue
             live = child_area + min_variant <= area_bound
             for j in range(len(word)):
-                child = cyclic_insert(word, j, variant)
-                if not child:
+                core = cyclic_join(word, j, face)
+                if not core:
                     trace = _rebuild_trace(parent, word) + ((j, variant),)
                     return _SearchResult(found=True, trace=trace, area=child_area)
                 if not live:
                     # no further insertion fits under the bound, dead end
                     continue
-                if len(child) > budget.max_word_len:
+                if len(core) > budget.max_word_len:
                     complete = False
                     continue
+                # only a child that may be stored is worth canonicalising
+                child = least_rotation(core)
                 if child_area < best.get(child, area_bound + 1):
                     if child not in best and len(best) >= budget.max_states:
                         # give up promptly rather than churn a capped frontier
@@ -220,13 +228,13 @@ def _rebuild_trace(parent: dict, word: str) -> tuple:
 
 def replay_fill(witness: FillWitness, presentation: Presentation) -> bool:
     """Independent replay of a fill witness by pure free/cyclic reduction."""
-    allowed = set(presentation.variants)
+    faces = dict(presentation.faces)
     word = least_rotation(cyclic_reduce(witness.contour)[0])
     area = 0
     for j, variant in witness.trace:
-        if variant not in allowed or (word and j >= len(word)):
+        if variant not in faces or (word and j >= len(word)):
             return False
-        word = cyclic_insert(word, j, variant)
+        word = cyclic_insert(word, j, faces[variant])
         area += len(variant)
     if word:
         return False
@@ -258,7 +266,7 @@ def in_C(
     core = cyclic_reduce(z)[0]
     if not core:
         return Outcome(YES, witness=FillWitness(z, (), edges=zlen // 2, area=0))
-    result = _fill_search(presentation.variants, core, area_bound, budget)
+    result = _fill_search(presentation.faces, core, area_bound, budget)
     if result.found:
         edges = (result.area + zlen) // 2
         return Outcome(YES, witness=FillWitness(z, result.trace, edges=edges, area=result.area))
@@ -289,7 +297,7 @@ def rewrite_search(presentation: Presentation, u: Word, v: Word, budget: Budget)
     """
     start_u = u.code()
     start_v = v.code()
-    variants = presentation.variants
+    faces = [face for _, face in presentation.faces]
     sides: list[dict] = [{start_u: None}, {start_v: None}]
     frontiers = [[start_u], [start_v]]
     complete = True
@@ -308,9 +316,9 @@ def rewrite_search(presentation: Presentation, u: Word, v: Word, budget: Budget)
         frontier = frontiers[side]
         frontiers[side] = []
         for word in frontier:
-            for variant in variants:
+            for face in faces:
                 for j in range(len(word) + 1):
-                    child = insert(word, j, variant)
+                    child = insert(word, j, face)
                     if len(child) > budget.max_word_len:
                         complete = False
                         continue
@@ -331,15 +339,13 @@ def rewrite_search(presentation: Presentation, u: Word, v: Word, budget: Budget)
 
 
 def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: Word, v: Word) -> bool:
-    variants = set(presentation.variants)
+    faces = {face for _, face in presentation.faces}
 
     def check_chain(start: str, steps: Sequence[str]) -> bool:
         if not steps or steps[0] != start or steps[-1] != witness.meeting_point:
             return False
         for a, b in zip(steps, steps[1:]):
-            ok = any(
-                b == insert(a, j, variant) for variant in variants for j in range(len(a) + 1)
-            )
+            ok = any(b == insert(a, j, face) for face in faces for j in range(len(a) + 1))
             if not ok:
                 return False
         return True
@@ -482,7 +488,7 @@ def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) 
     # Steps 3-4: cut-annulus search over conjugators.  Every z below has
     # the abelian image of u v^-1, which passed the test above, and the
     # trivial words' images lie in the relator lattice: no z is obstructed.
-    variants = relator_variants(presentation.relator_words() + trivial_words)
+    faces = reduced_variants(relator_variants(presentation.relator_words() + trivial_words))
     area_bound = 2 * bound_len - (len(u) + len(v))
     scanned = 0
     search_complete = True
@@ -494,7 +500,7 @@ def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) 
             search_complete = False
             break
         z = free_reduce(s.code() + u.code() + s.inverse().code() + v.inverse().code())
-        result = _fill_search(variants, z, area_bound, budget)
+        result = _fill_search(faces, z, area_bound, budget)
         if result.found:
             witness = FillWitness(z, result.trace, edges=(result.area + len(z)) // 2, area=result.area)
             return Outcome(YES, witness=ConjugacyWitness(s, witness))

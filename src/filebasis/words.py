@@ -12,6 +12,10 @@ code point ``2*(i-1) + (s > 0)`` and a word is the `str` of its letters.
 The inverse of code c is ``c ^ 1``, and string order agrees with the
 order of ``(index, sign)`` tuples.  A `str` puts no cap on the alphabet
 and stores code points below 256 in one byte each.
+
+Reduction and least rotation take any code string.  The insertion steps
+(`insert`, `cyclic_join`, `cyclic_insert`) take reduced inputs, so that
+letters cancel only at the seams, and their docstrings say which.
 """
 
 from __future__ import annotations
@@ -58,10 +62,12 @@ def encode(runs: Iterable[tuple[int, int]]) -> str:
 
 
 def invert(code: str) -> str:
+    """Inverse of any code string."""
     return "".join(chr(ord(c) ^ 1) for c in reversed(code))
 
 
 def free_reduce(code: str) -> str:
+    """Free reduction of any code string."""
     out: list[str] = []
     for c in code:
         if out and ord(out[-1]) ^ ord(c) == 1:
@@ -72,8 +78,13 @@ def free_reduce(code: str) -> str:
 
 
 def cyclic_reduce(code: str) -> tuple[str, str]:
-    """(core, conjugator) with code = conjugator core conjugator^-1 freely."""
-    code = free_reduce(code)
+    """(core, conjugator) with code = conjugator core conjugator^-1 freely;
+    code is any code string."""
+    return _strip_ends(free_reduce(code))
+
+
+def _strip_ends(code: str) -> tuple[str, str]:
+    # (core, conjugator) of a freely reduced code string
     i, j = 0, len(code) - 1
     while i < j and ord(code[i]) ^ ord(code[j]) == 1:
         i += 1
@@ -81,37 +92,100 @@ def cyclic_reduce(code: str) -> tuple[str, str]:
     return code[i : j + 1], code[:i]
 
 
+def _cancelled(left: str, right: str) -> int:
+    # how many letters of left's end cancel against right's start
+    k, limit = 0, min(len(left), len(right))
+    while k < limit and ord(left[-1 - k]) ^ ord(right[k]) == 1:
+        k += 1
+    return k
+
+
 def least_rotation(code: str) -> str:
-    """Least rotation in linear time (Booth, "Lexicographically least
-    circular substrings", IPL 10, 1980)."""
-    s = code + code
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
+    """Least rotation of any code string, in linear time.
+
+    The least rotation starts at the first letter of a maximal run of the
+    least letter, so only such starts compete.  Two candidates are
+    compared by their common prefix; the loser and the k letters after it
+    that matched the winner's are dropped at once, since each of their
+    rotations exceeds the winner's shifted by the same amount (the
+    two-pointer skip of Shiloach, "Fast canonization of circular strings",
+    J. Algorithms 2, 1981).
+    """
+    if not code:
+        return code
+    n = len(code)
+    least = min(code)
+    first_other = n - len(code.lstrip(least))
+    if first_other == n:
+        return code  # a power of one letter
+    # from a letter other than the least one, no run of it wraps around
+    text = code[first_other:] + code[:first_other]
+    doubled = text + text
+    i = text.find(least)
+    j = text.find(least, i + 1)
+    while j != -1:
+        # k = common prefix length of the rotations at i and j, both of
+        # which start with least: chunks double while they match, then
+        # halve down to the first mismatch, so O(k) letters are compared
+        # in O(log k) slice comparisons
+        k, step = 1, 1
+        while k + step <= n and doubled.startswith(doubled[j + k : j + k + step], i + k):
+            k += step
+            step *= 2
+        hi = min(k + step - 1, n)
+        while k < hi:
+            mid = (k + hi + 1) // 2
+            if doubled.startswith(doubled[j + k : j + mid], i + k):
+                k = mid
+            else:
+                hi = mid - 1
+        if k == n:
+            break  # equal rotations: the word is periodic, either one is least
+        if doubled[i + k] < doubled[j + k]:
+            j = text.find(least, j + k + 1)
+            if j == i:
+                j = text.find(least, j + 1)
         else:
-            f[j - k] = i + 1
-    return s[k : k + len(code)]
+            i = text.find(least, i + k + 1)
+            if i == j:
+                i = text.find(least, i + 1)
+            if i == -1:
+                i, j = j, -1
+    return doubled[i : i + n]
 
 
 def insert(word: str, j: int, variant: str) -> str:
-    """Free reduction of word with variant inserted at position j."""
-    return free_reduce(word[:j] + variant + word[j:])
+    """Free reduction of word with variant inserted at position j.
+
+    word and variant must be freely reduced, so letters cancel only at the
+    two seams.
+    """
+    left = word[:j]
+    k = _cancelled(left, variant)
+    head = left[: len(left) - k] + variant[k:]
+    tail = word[j:]
+    k = _cancelled(head, tail)
+    return head[: len(head) - k] + tail[k:]
+
+
+def cyclic_join(word: str, j: int, variant: str) -> str:
+    """Cyclically reduced core of the rotation of word that starts at
+    position j, followed by variant.
+
+    word must be cyclically reduced, so that each of its rotations is
+    freely reduced, and variant freely reduced: letters cancel only where
+    the rotation meets variant, then at the two ends.
+    """
+    rotation = word[j:] + word[:j]
+    k = _cancelled(rotation, variant)
+    return _strip_ends(rotation[: len(rotation) - k] + variant[k:])[0]
 
 
 def cyclic_insert(word: str, j: int, variant: str) -> str:
     """The cyclic word, as its least rotation, left by appending variant
-    to the rotation of word that starts at position j."""
-    return least_rotation(cyclic_reduce(word[j:] + word[:j] + variant)[0])
+    to the rotation of word that starts at position j; the preconditions
+    are those of `cyclic_join`."""
+    return least_rotation(cyclic_join(word, j, variant))
 
 
 def relator_variants(relators: Iterable[Word]) -> tuple[str, ...]:
@@ -121,6 +195,16 @@ def relator_variants(relators: Iterable[Word]) -> tuple[str, ...]:
         for base in (r.code(), r.inverse().code()):
             variants.update(base[k:] + base[:k] for k in range(len(base)))
     return tuple(sorted(variants))
+
+
+def reduced_variants(variants: Iterable[str]) -> tuple[tuple[str, str], ...]:
+    """Each variant with its free reduction, the form insertion takes.
+
+    A rotation of a relator that is not cyclically reduced (a hand-edited
+    one, say) is not freely reduced; inserting its free reduction leaves
+    the same reduced word.
+    """
+    return tuple((variant, free_reduce(variant)) for variant in variants)
 
 
 def ab_vector(code: str, n: int) -> tuple[int, ...]:

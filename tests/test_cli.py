@@ -3,6 +3,7 @@ import json
 import pytest
 
 from filebasis.cli import main
+from filebasis.construction import Presentation
 
 
 @pytest.fixture()
@@ -58,6 +59,8 @@ class TestGen:
         rel = out1["presentation"]["relators"][0]
         assert rel["r"] == "x1^5 x2^5 x3^5 x1^-1 x2^-1"
         assert rel["m"] == 5
+        assert "truncated" not in out1["presentation"]
+        assert not Presentation.from_dict(out1["presentation"]).truncated
 
     def test_truncation_exit(self, run):
         code, out = run(
@@ -66,6 +69,7 @@ class TestGen:
         )
         assert code == 2
         assert out["truncated"]
+        assert Presentation.from_dict(out["presentation"]).truncated
 
 
 class TestEq:
@@ -310,5 +314,78 @@ class TestPinnedWitnesses:
     def test_exact_stdout(self, capsys, pres_file, case):
         argv, expected = self.CASES[case]
         code = main([*argv[:3], "--presentation", pres_file, *argv[3:]])
+        assert code == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+class TestHandEditedPresentation:
+    """Exact stdout over a relator that is not cyclically reduced, recorded
+    before insertion cancelled at the seams only: the rotations of such a
+    relator are not freely reduced."""
+
+    RELATOR = "x1 x2 x3^2 x1^-1"
+
+    CASES = {
+        "eq, diagram engine": (
+            ["eq", "x3^2", "x2^-1", "--witness", "--engine", "diagram"],
+            {
+                "outcome": "yes",
+                "witness": {
+                    "kind": "filling",
+                    "contour": "x3^2 x2",
+                    "trace": [{"position": 0, "face_label": "x3^-2 x2^-1"}],
+                    "edges": 4,
+                    "area": 5,
+                },
+            },
+        ),
+        "eq, rewrite engine": (
+            ["eq", "x3^2", "x2^-1", "--witness", "--engine", "rewrite"],
+            {
+                "outcome": "yes",
+                "witness": {
+                    "kind": "rewriting",
+                    "meeting_point": "x2^-1",
+                    "steps_from_u": ["x3^2", "x2^-1"],
+                    "steps_from_v": ["x2^-1"],
+                },
+            },
+        ),
+        "conj": (
+            [
+                "conj", "x3^2", "x1 x2^-1 x1^-1", "--witness",
+                "--max-len", "30", "--max-states", "100",
+            ],
+            {
+                "outcome": "yes",
+                "witness": {
+                    "kind": "conjugacy",
+                    "conjugator": "x1",
+                    "certificate": {
+                        "kind": "filling",
+                        "contour": "x1 x3^2 x2 x1^-1",
+                        "trace": [{"position": 0, "face_label": "x3^-2 x2^-1"}],
+                        "edges": 5,
+                        "area": 5,
+                    },
+                },
+            },
+        ),
+    }
+
+    @pytest.fixture()
+    def hand_file(self, tmp_path):
+        data = {
+            "n": 3, "lambda1": "1/15", "N": 2,
+            "relators": [{"i": 1, "w": "x2", "m": 5, "r": self.RELATOR}],
+        }
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exact_stdout(self, capsys, hand_file, case):
+        argv, expected = self.CASES[case]
+        code = main([*argv[:3], "--presentation", hand_file, *argv[3:]])
         assert code == 0
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"

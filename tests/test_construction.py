@@ -203,3 +203,5 @@ class TestPresentationJSON:
     def test_malformed(self):
         with pytest.raises(MalformedParamsError):
             Presentation.loads('{"n": 3}')
+        with pytest.raises(MalformedParamsError):
+            Presentation.loads('{"n": 3, "lambda1": "1/15", "N": 2, "truncated": "no"}')

@@ -7,12 +7,14 @@ from filebasis.words import (
     EMPTY,
     MalformedWordError,
     Word,
+    cyclic_insert,
     cyclic_reduce,
     deglex_compare,
     deglex_key,
     deglex_successor,
     encode,
     free_reduce,
+    insert,
     inverse_letter,
     invert,
     iter_reduced_words,
@@ -22,6 +24,7 @@ from filebasis.words import (
     parse_word,
     rank_letter,
     reduce_letters,
+    reduced_variants,
 )
 
 letters = st.tuples(st.integers(1, 4), st.sampled_from([1, -1]))
@@ -92,6 +95,16 @@ def naive_cyclic_reduce(seq):
     return seq
 
 
+@st.composite
+def near_powers(draw):
+    """Code strings u^k, or u^k with one letter changed or added."""
+    code = encode(draw(st.lists(letters, min_size=1, max_size=5))) * draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(code)))
+        code = code[:at] + chr(draw(st.integers(0, 7))) + code[at + draw(st.integers(0, 1)) :]
+    return code
+
+
 class TestKernel:
     @given(letter_lists)
     def test_free_reduce_deletes_inverse_pairs(self, raw):
@@ -104,11 +117,40 @@ class TestKernel:
         assert core == encode(naive_cyclic_reduce(raw))
         assert free_reduce(conjugator + core + invert(conjugator)) == free_reduce(encode(raw))
 
-    @given(st.lists(st.sampled_from([(1, 1), (1, -1), (2, 1)]), max_size=12) | letter_lists)
-    def test_least_rotation_is_min_rotation(self, raw):
-        code = encode(raw)
+    @given(
+        st.lists(st.sampled_from([(1, 1), (1, -1), (2, 1)]), max_size=12).map(encode)
+        | letter_lists.map(encode)
+        | near_powers()
+    )
+    def test_least_rotation_is_min_rotation(self, code):
         rotations = [code[k:] + code[:k] for k in range(len(code))]
         assert least_rotation(code) == min(rotations, default="")
+
+    def test_least_rotation_of_long_near_powers(self):
+        # 400,000 letters: a quadratic comparison of candidates would not finish
+        for code in (encode([(1, 1), (2, 1)]) * 199_999 + encode([(1, 1), (3, 1)]),
+                     encode([(1, 400_000), (2, 1)])):
+            assert least_rotation(code) == code
+            assert least_rotation(code[7:] + code[:7]) == code
+
+    @given(letter_lists, letter_lists, st.data())
+    def test_insert_reduces_at_the_seams(self, raw, raw_variant, data):
+        word, variant = free_reduce(encode(raw)), free_reduce(encode(raw_variant))
+        j = data.draw(st.integers(0, len(word)))
+        assert insert(word, j, variant) == free_reduce(word[:j] + variant + word[j:])
+
+    @given(letter_lists, letter_lists, st.lists(letters, max_size=3), st.data())
+    def test_cyclic_insert_is_canonical_cyclic_reduction(self, raw, raw_relator, outer, data):
+        word = least_rotation(cyclic_reduce(encode(raw))[0])
+        # a rotation of a relator that is freely but, through the outer
+        # conjugator, often not cyclically reduced: then not freely reduced
+        relator = free_reduce(encode(outer) + encode(raw_relator) + invert(encode(outer)))
+        k = data.draw(st.integers(0, len(relator)))
+        ((variant, face),) = reduced_variants([relator[k:] + relator[:k]])
+        j = data.draw(st.integers(0, max(len(word) - 1, 0)))
+        rotation = word[j:] + word[:j]
+        expected = least_rotation(cyclic_reduce(rotation + variant)[0])
+        assert cyclic_insert(word, j, face) == expected
 
     @given(letter_lists, letter_lists)
     def test_encoding_preserves_tuple_order(self, a, b):
