@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, groupby
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .words import Letter, Word, encode, inverse_letter, invert, parse_letter, relator_variants
 
@@ -48,7 +49,27 @@ class Complex2:
 
     def degree(self, v) -> int:
         """Incident edge count with loops counted twice = darts leaving v."""
-        return sum(1 for d in self.inv if self.origin[d] == v)
+        return len(self.out_darts[v])
+
+    def reverse(self, cycle: Sequence) -> tuple:
+        """The cycle walked backwards, over the inverse darts."""
+        return tuple(self.inv[d] for d in reversed(cycle))
+
+    # -- indexes, computed once per complex --------------------------------
+
+    @cached_property
+    def face_of(self) -> dict:
+        """Dart -> (face id, position in that face's boundary cycle), for
+        every dart on a face."""
+        return {d: (fid, pos) for fid, cycle in self.faces.items() for pos, d in enumerate(cycle)}
+
+    @cached_property
+    def out_darts(self) -> dict:
+        """Vertex -> the darts leaving it."""
+        out: dict = {v: [] for v in self.vertices}
+        for d in self.inv:
+            out[self.origin[d]].append(d)
+        return out
 
 
 @dataclass(frozen=True)
@@ -59,10 +80,6 @@ class DiagramMap:
     @property
     def is_disc(self) -> bool:
         return len(self.contours) == 1
-
-    @property
-    def is_annular(self) -> bool:
-        return len(self.contours) == 2
 
     @property
     def is_spherical(self) -> bool:
@@ -78,9 +95,6 @@ class DiagramMap:
     def external_edges(self) -> set[frozenset]:
         inv = self.complex.inv
         return {frozenset((d, inv[d])) for d in self.external_darts()}
-
-    def internal_edges(self) -> set[frozenset]:
-        return self.complex.edges() - self.external_edges()
 
 
 @dataclass(frozen=True)
@@ -165,35 +179,26 @@ class ValidationReport:
         }
 
 
-def _check_cycle_closed(c: Complex2, cycle: Sequence, where: str, issues: list) -> None:
-    for k, d in enumerate(cycle):
-        nxt = cycle[(k + 1) % len(cycle)]
-        if d not in c.inv:
-            issues.append(ValidationIssue(where, f"unknown dart {d!r}"))
-            return
-        if nxt not in c.inv:
-            return
-        if c.terminus(d) != c.origin[nxt]:
-            issues.append(
-                ValidationIssue(where, f"cycle breaks between darts {d!r} and {nxt!r}")
-            )
-
-
-def _connected(c: Complex2) -> bool:
-    if not c.vertices:
-        return True
-    seen = set()
-    stack = [next(iter(c.vertices))]
-    adjacency: dict = {v: [] for v in c.vertices}
-    for d in c.inv:
-        adjacency[c.origin[d]].append(c.terminus(d))
-    while stack:
-        v = stack.pop()
-        if v in seen:
+def _components(c: Complex2, darts: Optional[set] = None) -> list[set]:
+    """Vertex sets of the connected components of c, with the given darts
+    (all darts when None) as its edges."""
+    inv, origin, out_darts = c.inv, c.origin, c.out_darts
+    seen: set = set()
+    components = []
+    for v0 in c.vertices:
+        if v0 in seen:
             continue
-        seen.add(v)
-        stack.extend(adjacency[v])
-    return seen == c.vertices
+        component = {v0}
+        stack = [v0]
+        while stack:
+            for d in out_darts[stack.pop()]:
+                w = origin[inv[d]]
+                if w not in component and (darts is None or d in darts):
+                    component.add(w)
+                    stack.append(w)
+        seen |= component
+        components.append(component)
+    return components
 
 
 def match_face_label(
@@ -237,38 +242,35 @@ def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
     if issues:
         return ValidationReport(tuple(issues), {})
 
-    for fid, cycle in c.faces.items():
+    # every face cycle and contour is a closed walk over known darts, and
+    # together they partition the darts: each lies in exactly one of them
+    inv, origin = c.inv, c.origin
+    cycles = [(f"face {fid!r}", "empty boundary cycle", cycle) for fid, cycle in c.faces.items()]
+    cycles += [(f"contour {k}", "empty contour", cycle) for k, cycle in enumerate(d.map.contours)]
+    homes: dict = {dart: [] for dart in inv}
+    for where, empty, cycle in cycles:
         if not cycle:
-            issues.append(ValidationIssue(f"face {fid!r}", "empty boundary cycle"))
-        else:
-            _check_cycle_closed(c, cycle, f"face {fid!r}", issues)
-    for k, contour in enumerate(d.map.contours):
-        if not contour:
-            issues.append(ValidationIssue(f"contour {k}", "empty contour"))
-        else:
-            _check_cycle_closed(c, contour, f"contour {k}", issues)
-
-    # dart partition: each dart in exactly one face cycle or one contour
-    counts: dict = {dart: 0 for dart in c.inv}
-    homes: dict = {dart: [] for dart in c.inv}
-    for fid, cycle in c.faces.items():
-        for dart in cycle:
-            if dart in counts:
-                counts[dart] += 1
-                homes[dart].append(f"face {fid!r}")
-    for k, contour in enumerate(d.map.contours):
-        for dart in contour:
-            if dart in counts:
-                counts[dart] += 1
-                homes[dart].append(f"contour {k}")
-    for dart, cnt in counts.items():
-        if cnt != 1:
-            where = ", ".join(homes[dart]) or "nowhere"
+            issues.append(ValidationIssue(where, empty))
+        for k, dart in enumerate(cycle):
+            if dart not in inv:
+                issues.append(ValidationIssue(where, f"unknown dart {dart!r}"))
+                continue
+            homes[dart].append(where)
+            nxt = cycle[(k + 1) % len(cycle)]
+            if nxt in inv and origin[inv[dart]] != origin[nxt]:
+                issues.append(
+                    ValidationIssue(where, f"cycle breaks between darts {dart!r} and {nxt!r}")
+                )
+    for dart, where in homes.items():
+        if len(where) != 1:
             issues.append(
-                ValidationIssue(f"dart {dart!r}", f"appears {cnt} times ({where}), expected once")
+                ValidationIssue(
+                    f"dart {dart!r}",
+                    f"appears {len(where)} times ({', '.join(where) or 'nowhere'}), expected once",
+                )
             )
 
-    if not _connected(c):
+    if len(_components(c)) > 1:
         issues.append(ValidationIssue("map", "underlying complex is not connected"))
 
     # Euler characteristic, counting contour regions as faces.  An edgeless
@@ -388,18 +390,15 @@ def find_immediately_cancellable(d: Diagram) -> list[frozenset]:
     shared edge: a dart on one face whose inverse is on the other, with the
     two boundary readings from that edge being equal words."""
     c = d.complex
-    dart_face = {}
-    for fid, cycle in c.faces.items():
-        for pos, dart in enumerate(cycle):
-            dart_face[dart] = (fid, pos)
+    face_of = c.face_of
     labels = {fid: encode(d.face_label(fid)) for fid in c.faces}
     same: dict = {}  # (f1, f2, (p1 + p2) % k) -> whether the readings agree
     pairs = set()
-    for dart, (f1, p1) in dart_face.items():
+    for dart, (f1, p1) in face_of.items():
         other = c.inv[dart]
-        if other not in dart_face:
+        if other not in face_of:
             continue
-        f2, p2 = dart_face[other]
+        f2, p2 = face_of[other]
         k = len(labels[f1])
         if f1 == f2 or len(labels[f2]) != k:
             continue
@@ -433,10 +432,7 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
     whose vertices have degree 2 are reported as a single closed arc.
     """
     c = m.complex
-    out_darts: dict = {v: [] for v in c.vertices}
-    for dart in c.inv:
-        out_darts[c.origin[dart]].append(dart)
-    deg = {v: len(ds) for v, ds in out_darts.items()}
+    out_darts = c.out_darts
     seen: set = set()
     arcs = []
 
@@ -446,7 +442,7 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
         seen.add(c.inv[start_dart])
         while True:
             v = c.terminus(path[-1])
-            if deg[v] != 2:
+            if len(out_darts[v]) != 2:
                 break
             nxt = [dd for dd in out_darts[v] if dd != c.inv[path[-1]]]
             if len(nxt) != 1 or nxt[0] in seen:
@@ -459,7 +455,7 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
     for dart in sorted(c.inv, key=str):
         if dart in seen:
             continue
-        if deg[c.origin[dart]] != 2:
+        if len(out_darts[c.origin[dart]]) != 2:
             arcs.append(walk(dart))
     # leftover darts belong to closed degree-2 cycles
     for dart in sorted(c.inv, key=str):
@@ -470,15 +466,13 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
 
 def double_selected_arcs(d: Diagram, sel: Selection) -> list[tuple]:
     """Maximal arcs both of whose orientations lie in designated subpaths."""
-    c = d.complex
-    selected = sel.selected_darts(c)
-    result = []
-    for arc in maximal_arcs(d.map):
-        forward = all(dart in selected for dart in arc)
-        backward = all(c.inv[dart] in selected for dart in arc)
-        if forward and backward:
-            result.append(arc)
-    return result
+    inv = d.complex.inv
+    selected = sel.selected_darts(d.complex)
+    return [
+        arc
+        for arc in maximal_arcs(d.map)
+        if all(dart in selected and inv[dart] in selected for dart in arc)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -501,28 +495,23 @@ def check_condition_B(
     selected length at least (1-lambda1) of the boundary, and every
     double-selected arc at most lambda2 of the boundary."""
     c = d.complex
-    dsa = double_selected_arcs(d, sel)
-    dart_face = {}
-    for fid, cycle in c.faces.items():
-        for dart in cycle:
-            dart_face[dart] = fid
+    face_of = c.face_of
+    arcs_at: dict = {fid: [] for fid in c.faces}  # face -> incident double-selected arcs
+    for arc in double_selected_arcs(d, sel):
+        for fid in {face_of[x][0] for dart in arc for x in (dart, c.inv[dart]) if x in face_of}:
+            arcs_at[fid].append(arc)
     reports = []
     for fid, cycle in c.faces.items():
         blen = len(cycle)
         fs = sel.per_face.get(fid)
         b0 = fs is not None  # the representation stores exactly one subpath
         b1 = fs is not None and Fraction(fs.length) >= (1 - lambda1) * blen
-        incident = [
-            arc
-            for arc in dsa
-            if any(dart_face.get(dart) == fid or dart_face.get(c.inv[dart]) == fid for dart in arc)
-        ]
-        b2 = all(Fraction(len(arc)) <= lambda2 * blen for arc in incident)
+        b2 = all(Fraction(len(arc)) <= lambda2 * blen for arc in arcs_at[fid])
         sel_len = fs.length if fs else 0
         detail = (
             f"|s| = {sel_len}, boundary = {blen}, "
             f"(1-l1)*boundary = {(1 - lambda1) * blen}, "
-            f"double-selected arc lengths = {[len(a) for a in incident]}, "
+            f"double-selected arc lengths = {[len(a) for a in arcs_at[fid]]}, "
             f"l2*boundary = {lambda2 * blen}"
         )
         reports.append(FaceBReport(fid, b0, b1, b2, detail))
@@ -535,11 +524,8 @@ def check_condition_B(
 
 def is_semisimple(m: DiagramMap) -> bool:
     """Every edge is incident to a face."""
-    face_darts = {dart for cycle in m.complex.faces.values() for dart in cycle}
-    for dart in m.complex.inv:
-        if dart not in face_darts and m.complex.inv[dart] not in face_darts:
-            return False
-    return True
+    inv, face_of = m.complex.inv, m.complex.face_of
+    return all(dart in face_of or inv[dart] in face_of for dart in inv)
 
 
 @dataclass(frozen=True)
@@ -559,57 +545,26 @@ def maximal_semisimple_submaps(m: DiagramMap) -> list[Submap]:
     edge and face membership.
     """
     c = m.complex
-    face_darts = {dart for cycle in c.faces.values() for dart in cycle}
-    keep = {
-        dart
-        for dart in c.inv
-        if dart in face_darts or c.inv[dart] in face_darts
-    }
-    adjacency: dict = {v: [] for v in c.vertices}
+    face_of = c.face_of
+    keep = {dart for dart in c.inv if dart in face_of or c.inv[dart] in face_of}
+    components = sorted(_components(c, keep), key=lambda comp: min(map(str, comp)))
+    index = {v: k for k, comp in enumerate(components) for v in comp}
+    darts: list = [[] for _ in components]
+    faces: list = [[] for _ in components]
     for dart in keep:
-        adjacency[c.origin[dart]].append(c.terminus(dart))
-    seen: set = set()
-    components = []
-    for v0 in sorted(c.vertices, key=str):
-        if v0 in seen:
-            continue
-        comp = set()
-        stack = [v0]
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adjacency[v])
-        seen |= comp
-        darts = frozenset(d for d in keep if c.origin[d] in comp)
-        faces = frozenset(
-            fid for fid, cycle in c.faces.items() if c.origin[cycle[0]] in comp
-        )
-        components.append(Submap(frozenset(comp), darts, faces))
-    return components
+        darts[index[c.origin[dart]]].append(dart)
+    for fid, cycle in c.faces.items():
+        faces[index[c.origin[cycle[0]]]].append(fid)
+    return [
+        Submap(frozenset(comp), frozenset(ds), frozenset(fs))
+        for comp, ds, fs in zip(components, darts, faces)
+    ]
 
 
 def selected_external_edges(d: Diagram, sel: Selection) -> set[frozenset]:
     """External edges one of whose darts lies in a designated subpath."""
-    c = d.complex
-    selected = sel.selected_darts(c)
-    out = set()
-    for edge in d.map.external_edges():
-        if any(dart in selected for dart in edge):
-            out.add(edge)
-    return out
-
-
-def _structural_external_edges(m: DiagramMap) -> set[frozenset]:
-    """Edges with a dart outside every face cycle; used for submaps, whose
-    contours are not reconstructed."""
-    face_darts = {dart for cycle in m.complex.faces.values() for dart in cycle}
-    out = set()
-    for dart in m.complex.inv:
-        if dart not in face_darts:
-            out.add(frozenset((dart, m.complex.inv[dart])))
-    return out
+    selected = sel.selected_darts(d.complex)
+    return {edge for edge in d.map.external_edges() if not selected.isdisjoint(edge)}
 
 
 def metrics(d: Diagram, sel: Selection) -> DiagramMetrics:
@@ -633,13 +588,7 @@ def check_condition_X(
     if not is_semisimple(m):
         raise DiagramError("map is not semisimple")
     c = m.complex
-    selected = sel.selected_darts(c)
-    ext = _structural_external_edges(m)
-    S = sum(1 for edge in ext if any(dart in selected for dart in edge))
-    Sigma = sum(len(cycle) for cycle in c.faces.values())
-    E = c.edge_count()
-    met = DiagramMetrics(S=S, Sigma=Sigma, E=E, F=len(c.faces))
-    return Fraction(S) >= E - mu * Sigma, met
+    return _condition_X(c, c.inv, c.face_of, c.faces, sel, mu)
 
 
 def submap_condition_X(
@@ -647,17 +596,29 @@ def submap_condition_X(
 ) -> tuple[bool, DiagramMetrics]:
     """Condition X evaluated on one maximal semisimple submap in place."""
     c = m.complex
-    face_darts = {
-        dart for fid in sub.faces for dart in c.faces[fid]
-    }
+    face_darts = {dart for fid in sub.faces for dart in c.faces[fid]}
+    return _condition_X(c, sub.darts, face_darts, sub.faces, sel, mu)
+
+
+def _condition_X(
+    c: Complex2, darts, face_darts, faces, sel: Selection, mu: Fraction
+) -> tuple[bool, DiagramMetrics]:
+    """S >= E - mu * Sigma over the edges of `darts` (closed under the
+    involution) and the given faces.  An edge is external when one of its
+    darts is not in `face_darts`; S counts the external edges with a
+    selected dart, by counting their darts and halving."""
+    inv = c.inv
     selected = sel.selected_darts(c)
-    edges = {frozenset((d, c.inv[d])) for d in sub.darts}
-    ext = {e for e in edges if any(dart not in face_darts for dart in e)}
-    S = sum(1 for e in ext if any(dart in selected for dart in e))
-    Sigma = sum(len(c.faces[fid]) for fid in sub.faces)
-    E = len(edges)
-    met = DiagramMetrics(S=S, Sigma=Sigma, E=E, F=len(sub.faces))
-    return Fraction(S) >= E - mu * Sigma, met
+    twice_S = sum(
+        1
+        for d in darts
+        if (d not in face_darts or inv[d] not in face_darts)
+        and (d in selected or inv[d] in selected)
+    )
+    Sigma = sum(len(c.faces[fid]) for fid in faces)
+    E = len(darts) // 2
+    met = DiagramMetrics(S=twice_S // 2, Sigma=Sigma, E=E, F=len(faces))
+    return Fraction(met.S) >= E - mu * Sigma, met
 
 
 def check_main_lemma(
@@ -718,12 +679,8 @@ def mirror_copy(d: Diagram) -> Diagram:
     closed; reading a mirrored face yields the inverse word.  Involutive.
     """
     c = d.complex
-
-    def flip(cycle: Sequence) -> tuple:
-        return tuple(c.inv[dart] for dart in reversed(cycle))
-
-    new_faces = {fid: flip(cycle) for fid, cycle in c.faces.items()}
-    new_contours = tuple(flip(cycle) for cycle in d.map.contours)
+    new_faces = {fid: c.reverse(cycle) for fid, cycle in c.faces.items()}
+    new_contours = tuple(c.reverse(cycle) for cycle in d.map.contours)
     new_complex = Complex2(c.vertices, c.inv, c.origin, new_faces)
     return Diagram(DiagramMap(new_complex, new_contours), d.labels)
 
@@ -771,6 +728,9 @@ def diagram_from_dict(data: dict, n: int | None = None) -> Diagram:
             labels[item["id"]] = letters[text]
         faces = {item["id"]: tuple(item["cycle"]) for item in data["faces"]}
         contours = tuple(tuple(cycle) for cycle in data["contours"])
+        # ids are dictionary keys: a list or object where one is expected
+        # fails here, as a TypeError, rather than deep inside a checker
+        hash((tuple(inv.values()), tuple(origin.values()), tuple(faces.values()), contours))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DiagramError(f"bad diagram data: {exc}") from exc
     complex = Complex2(vertices, inv, origin, faces)
@@ -786,56 +746,50 @@ def load_diagram(path: str, n: int | None = None) -> Diagram:
 # builders
 
 
+def _path(
+    letters: Sequence[Letter], stops: Sequence, name: Callable[[int], str]
+) -> tuple[tuple, dict, dict, dict]:
+    """The edges of a path reading `letters`: letter j runs from stops[j]
+    to stops[j + 1] on dart name(j) + "+", whose inverse is name(j) + "-".
+    Returns the forward darts and the involution, origin and label tables
+    of the new darts."""
+    path = []
+    inv: dict = {}
+    origin: dict = {}
+    labels: dict = {}
+    for j, letter in enumerate(letters):
+        stem = name(j)
+        dart, anti = stem + "+", stem + "-"
+        inv[dart] = anti
+        inv[anti] = dart
+        origin[dart] = stops[j]
+        origin[anti] = stops[j + 1]
+        labels[dart] = letter
+        labels[anti] = inverse_letter(letter)
+        path.append(dart)
+    return tuple(path), inv, origin, labels
+
+
 def polygon_diagram(word: Word, face_id: str = "f0") -> Diagram:
     """One-face disc: a polygon reading `word` around the face, with the
     contour being the inverse cycle."""
     letters = word.letter_tuple()
-    k = len(letters)
-    if k == 0:
+    if not letters:
         raise DiagramError("cannot build a polygon on the empty word")
-    vertices = frozenset(f"v{j}" for j in range(k))
-    inv = {}
-    origin = {}
-    labels = {}
-    cycle = []
-    for j, letter in enumerate(letters):
-        dart = f"d{j}+"
-        anti = f"d{j}-"
-        inv[dart] = anti
-        inv[anti] = dart
-        origin[dart] = f"v{j}"
-        origin[anti] = f"v{(j + 1) % k}"
-        labels[dart] = letter
-        labels[anti] = inverse_letter(letter)
-        cycle.append(dart)
-    contour = tuple(inv[dart] for dart in reversed(cycle))
-    complex = Complex2(vertices, inv, origin, {face_id: tuple(cycle)})
-    return Diagram(DiagramMap(complex, (contour,)), labels)
+    stops = [f"v{j}" for j in range(len(letters))]
+    cycle, inv, origin, labels = _path(letters, stops + stops[:1], lambda j: f"d{j}")
+    complex = Complex2(frozenset(stops), inv, origin, {face_id: cycle})
+    return Diagram(DiagramMap(complex, (complex.reverse(cycle),)), labels)
 
 
 def degenerate_path_diagram(word: Word) -> Diagram:
     """Face-free disc whose single contour reads word * word^-1."""
     letters = word.letter_tuple()
-    k = len(letters)
-    vertices = frozenset(f"v{j}" for j in range(k + 1)) if k else frozenset({"v0"})
-    inv = {}
-    origin = {}
-    labels = {}
-    path = []
-    for j, letter in enumerate(letters):
-        dart = f"d{j}+"
-        anti = f"d{j}-"
-        inv[dart] = anti
-        inv[anti] = dart
-        origin[dart] = f"v{j}"
-        origin[anti] = f"v{j + 1}"
-        labels[dart] = letter
-        labels[anti] = inverse_letter(letter)
-        path.append(dart)
-    contour = tuple(path) + tuple(inv[dart] for dart in reversed(path))
-    complex = Complex2(vertices, inv, origin, {})
-    contours = (contour,) if contour else ()
-    return Diagram(DiagramMap(complex, contours), labels)
+    stops = [f"v{j}" for j in range(len(letters) + 1)]
+    path, inv, origin, labels = _path(letters, stops, lambda j: f"d{j}")
+    complex = Complex2(frozenset(stops), inv, origin, {})
+    contour = path + complex.reverse(path)
+    return Diagram(DiagramMap(complex, (contour,) if contour else ()), labels)
 
 
 def sphere_double(word: Word) -> Diagram:
@@ -843,9 +797,7 @@ def sphere_double(word: Word) -> Diagram:
     their entire shared boundary circle; the canonical cancellable pair."""
     base = polygon_diagram(word, face_id="front")
     c = base.complex
-    cycle = c.faces["front"]
-    back = tuple(c.inv[dart] for dart in reversed(cycle))
-    faces = {"front": cycle, "back": back}
+    faces = {"front": c.faces["front"], "back": base.map.contours[0]}
     complex = Complex2(c.vertices, c.inv, c.origin, faces)
     return Diagram(DiagramMap(complex, ()), base.labels)
 
@@ -870,49 +822,29 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
         raise DiagramError("overlap exceeds contour length")
     c = d.complex
 
-    shared = [contour[j] for j in range(overlap)]
-    for j in range(overlap):
-        if d.labels[shared[j]] != letters[j]:
+    shared = tuple(contour[:overlap])
+    for j, dart in enumerate(shared):
+        if d.labels[dart] != letters[j]:
             raise DiagramError(
                 f"overlap letter {j} mismatch: contour side reads "
-                f"{d.labels[shared[j]]}, new face needs {letters[j]}"
+                f"{d.labels[dart]}, new face needs {letters[j]}"
             )
 
-    inv = dict(c.inv)
-    origin = dict(c.origin)
-    labels = dict(d.labels)
-    vertices = set(c.vertices)
-
-    start_v = c.terminus(shared[-1])  # where the fresh part of the face begins
-    end_v = c.origin[shared[0]]  # and where it must close up
-    new_cycle = list(shared)
-    prev_v = start_v
-    fresh = 0
-    for j in range(overlap, k):
-        dart = f"{face_id}_d{j}+"
-        anti = f"{face_id}_d{j}-"
-        if j == k - 1:
-            nxt_v = end_v
-        else:
-            nxt_v = f"{face_id}_v{fresh}"
-            vertices.add(nxt_v)
-            fresh += 1
-        inv[dart] = anti
-        inv[anti] = dart
-        origin[dart] = prev_v
-        origin[anti] = nxt_v
-        labels[dart] = letters[j]
-        labels[anti] = inverse_letter(letters[j])
-        new_cycle.append(dart)
-        prev_v = nxt_v
-
-    new_contour = tuple(contour[overlap:]) + tuple(
-        inv[dart] for dart in reversed(new_cycle[overlap:])
+    # the fresh part of the face runs from the end of the shared segment
+    # back to its start, through k - overlap - 1 new vertices
+    fresh_vertices = [f"{face_id}_v{j}" for j in range(k - overlap - 1)]
+    stops = [c.terminus(shared[-1]), *fresh_vertices, c.origin[shared[0]]]
+    fresh, inv, origin, labels = _path(
+        letters[overlap:], stops, lambda j: f"{face_id}_d{j + overlap}"
     )
-    faces = dict(c.faces)
-    faces[face_id] = tuple(new_cycle)
-    complex = Complex2(frozenset(vertices), inv, origin, faces)
-    return Diagram(DiagramMap(complex, (new_contour,)), labels)
+    complex = Complex2(
+        frozenset(c.vertices).union(fresh_vertices),
+        {**c.inv, **inv},
+        {**c.origin, **origin},
+        {**c.faces, face_id: shared + fresh},
+    )
+    new_contour = tuple(contour[overlap:]) + complex.reverse(fresh)
+    return Diagram(DiagramMap(complex, (new_contour,)), {**d.labels, **labels})
 
 
 def rotate_contour(d: Diagram, k: int) -> Diagram:

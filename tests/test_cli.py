@@ -183,6 +183,24 @@ class TestCheckDiagram:
         code, _ = run("check-diagram", str(bad), "--presentation", pres_file)
         assert code == 65
 
+    @pytest.mark.parametrize("cycle", ["face", "contour"])
+    def test_unknown_darts_reported(self, capsys, tmp_path, pres_file, toy_presentation, cycle):
+        from filebasis import diagram as dg
+
+        data = dg.diagram_to_dict(dg.polygon_diagram(toy_presentation.relators[0].r))
+        darts = data["faces"][0]["cycle"] if cycle == "face" else data["contours"][0]
+        darts.insert(1, "zz")
+        darts.insert(4, "yy")
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(data))
+        code = main(["check-diagram", str(path), "--presentation", pres_file])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        messages = [issue["message"] for issue in json.loads(captured.out)["validation"]["issues"]]
+        assert "unknown dart 'zz'" in messages
+        assert "unknown dart 'yy'" in messages
+
 
 class TestEnumWords:
     def test_first_words(self, run):
@@ -227,6 +245,26 @@ class TestTrustBoundary:
 
         data = dg.diagram_to_dict(dg.polygon_diagram(toy_presentation.relators[0].r))
         data["darts"][0]["label"] = label
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(data))
+        code = main(["check-diagram", str(path), "--presentation", pres_file])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+    @pytest.mark.parametrize("where", ["inv", "from", "face cycle", "contour"])
+    @pytest.mark.parametrize("value", [["d0-"], {"id": "d0-"}], ids=["list", "object"])
+    def test_non_scalar_dart_id(self, capsys, tmp_path, pres_file, toy_presentation, where, value):
+        from filebasis import diagram as dg
+
+        data = dg.diagram_to_dict(dg.polygon_diagram(toy_presentation.relators[0].r))
+        if where in ("inv", "from"):
+            data["darts"][1][where] = value
+        elif where == "face cycle":
+            data["faces"][0]["cycle"][1] = value
+        else:
+            data["contours"][0][1] = value
         path = tmp_path / "face.json"
         path.write_text(json.dumps(data))
         code = main(["check-diagram", str(path), "--presentation", pres_file])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -362,6 +363,22 @@ class TestSubmaps:
             )
             assert total_sigma == met.Sigma
 
+    def test_whole_map_X_is_the_one_submap_X(self, toy_presentation, toy_params, rng):
+        # on a semisimple one-component map, condition X over the whole map
+        # and over its single submap are the same count
+        rels = toy_presentation.relator_words()
+        compared = 0
+        for _ in range(50):
+            d = dg.random_diagram(rels, rng.randrange(1, 7), rng)
+            subs = dg.maximal_semisimple_submaps(d.map)
+            if not dg.is_semisimple(d.map) or len(subs) != 1:
+                continue
+            for sel in (dg.special_selection(d, 3), dg.Selection({})):
+                whole = dg.check_condition_X(d.map, sel, toy_params.mu)
+                assert whole == dg.submap_condition_X(d.map, subs[0], sel, toy_params.mu)
+            compared += 1
+        assert compared == 50
+
 
 class TestMirror:
     def test_involution(self, toy_face):
@@ -393,3 +410,183 @@ class TestRandomCorpus:
             c = d.complex
             chi = len(c.vertices) - c.edge_count() + len(c.faces) + len(d.map.contours)
             assert chi == 2
+
+
+# ---------------------------------------------------------------------------
+# exact builder output, recorded from the builders before they shared one
+# path helper: every dart id, vertex id, endpoint, label, cycle and contour.
+# Darts are listed in `diagram_to_dict` order, two to a line (each dart
+# with its inverse).
+
+BUILT = {
+    "polygon x1 x2 x3": (
+        "v0 v1 v2",
+        """
+        d0+ d0- v0 v1 x1 | d0- d0+ v1 v0 x1^-1
+        d1+ d1- v1 v2 x2 | d1- d1+ v2 v1 x2^-1
+        d2+ d2- v2 v0 x3 | d2- d2+ v0 v2 x3^-1
+        """,
+        [
+            ("f0", "d0+ d1+ d2+"),
+        ],
+        [
+            "d2- d1- d0-",
+        ],
+    ),
+    "path x1 x2": (
+        "v0 v1 v2",
+        """
+        d0+ d0- v0 v1 x1 | d0- d0+ v1 v0 x1^-1
+        d1+ d1- v1 v2 x2 | d1- d1+ v2 v1 x2^-1
+        """,
+        [],
+        [
+            "d0+ d1+ d1- d0-",
+        ],
+    ),
+    "path empty": (
+        "v0",
+        "",
+        [],
+        [],
+    ),
+    "sphere toy": (
+        "v0 v1 v10 v11 v12 v13 v14 v15 v16 v2 v3 v4 v5 v6 v7 v8 v9",
+        """
+        d0+ d0- v0 v1 x1 | d0- d0+ v1 v0 x1^-1
+        d1+ d1- v1 v2 x1 | d1- d1+ v2 v1 x1^-1
+        d10+ d10- v10 v11 x3 | d10- d10+ v11 v10 x3^-1
+        d11+ d11- v11 v12 x3 | d11- d11+ v12 v11 x3^-1
+        d12+ d12- v12 v13 x3 | d12- d12+ v13 v12 x3^-1
+        d13+ d13- v13 v14 x3 | d13- d13+ v14 v13 x3^-1
+        d14+ d14- v14 v15 x3 | d14- d14+ v15 v14 x3^-1
+        d15+ d15- v15 v16 x1^-1 | d15- d15+ v16 v15 x1
+        d16+ d16- v16 v0 x2^-1 | d16- d16+ v0 v16 x2
+        d2+ d2- v2 v3 x1 | d2- d2+ v3 v2 x1^-1
+        d3+ d3- v3 v4 x1 | d3- d3+ v4 v3 x1^-1
+        d4+ d4- v4 v5 x1 | d4- d4+ v5 v4 x1^-1
+        d5+ d5- v5 v6 x2 | d5- d5+ v6 v5 x2^-1
+        d6+ d6- v6 v7 x2 | d6- d6+ v7 v6 x2^-1
+        d7+ d7- v7 v8 x2 | d7- d7+ v8 v7 x2^-1
+        d8+ d8- v8 v9 x2 | d8- d8+ v9 v8 x2^-1
+        d9+ d9- v9 v10 x2 | d9- d9+ v10 v9 x2^-1
+        """,
+        [
+            ("back", (
+                "d16- d15- d14- d13- d12- d11- d10- d9- d8- d7- d6- d5- d4- d3- d2- d1- "
+                "d0-"
+            )),
+            ("front", (
+                "d0+ d1+ d2+ d3+ d4+ d5+ d6+ d7+ d8+ d9+ d10+ d11+ d12+ d13+ d14+ d15+ "
+                "d16+"
+            )),
+        ],
+        [],
+    ),
+    "two faces": (
+        (
+            "f1_v0 f1_v1 f1_v10 f1_v11 f1_v12 f1_v13 f1_v14 f1_v2 f1_v3 f1_v4 f1_v5 f1_v6 "
+            "f1_v7 f1_v8 f1_v9 v0 v1 v10 v11 v12 v13 v14 v15 v16 v2 v3 v4 v5 v6 v7 v8 v9"
+        ),
+        """
+        d0+ d0- v0 v1 x1 | d0- d0+ v1 v0 x1^-1
+        d1+ d1- v1 v2 x1 | d1- d1+ v2 v1 x1^-1
+        d10+ d10- v10 v11 x3 | d10- d10+ v11 v10 x3^-1
+        d11+ d11- v11 v12 x3 | d11- d11+ v12 v11 x3^-1
+        d12+ d12- v12 v13 x3 | d12- d12+ v13 v12 x3^-1
+        d13+ d13- v13 v14 x3 | d13- d13+ v14 v13 x3^-1
+        d14+ d14- v14 v15 x3 | d14- d14+ v15 v14 x3^-1
+        d15+ d15- v15 v16 x1^-1 | d15- d15+ v16 v15 x1
+        d16+ d16- v16 v0 x2^-1 | d16- d16+ v0 v16 x2
+        d2+ d2- v2 v3 x1 | d2- d2+ v3 v2 x1^-1
+        d3+ d3- v3 v4 x1 | d3- d3+ v4 v3 x1^-1
+        d4+ d4- v4 v5 x1 | d4- d4+ v5 v4 x1^-1
+        d5+ d5- v5 v6 x2 | d5- d5+ v6 v5 x2^-1
+        d6+ d6- v6 v7 x2 | d6- d6+ v7 v6 x2^-1
+        d7+ d7- v7 v8 x2 | d7- d7+ v8 v7 x2^-1
+        d8+ d8- v8 v9 x2 | d8- d8+ v9 v8 x2^-1
+        d9+ d9- v9 v10 x2 | d9- d9+ v10 v9 x2^-1
+        f1_d1+ f1_d1- v16 f1_v0 x2 | f1_d1- f1_d1+ f1_v0 v16 x2^-1
+        f1_d10+ f1_d10- f1_v8 f1_v9 x1^-1 | f1_d10- f1_d10+ f1_v9 f1_v8 x1
+        f1_d11+ f1_d11- f1_v9 f1_v10 x2^-1 | f1_d11- f1_d11+ f1_v10 f1_v9 x2
+        f1_d12+ f1_d12- f1_v10 f1_v11 x1 | f1_d12- f1_d12+ f1_v11 f1_v10 x1^-1
+        f1_d13+ f1_d13- f1_v11 f1_v12 x1 | f1_d13- f1_d13+ f1_v12 f1_v11 x1^-1
+        f1_d14+ f1_d14- f1_v12 f1_v13 x1 | f1_d14- f1_d14+ f1_v13 f1_v12 x1^-1
+        f1_d15+ f1_d15- f1_v13 f1_v14 x1 | f1_d15- f1_d15+ f1_v14 f1_v13 x1^-1
+        f1_d16+ f1_d16- f1_v14 v0 x1 | f1_d16- f1_d16+ v0 f1_v14 x1^-1
+        f1_d2+ f1_d2- f1_v0 f1_v1 x2 | f1_d2- f1_d2+ f1_v1 f1_v0 x2^-1
+        f1_d3+ f1_d3- f1_v1 f1_v2 x2 | f1_d3- f1_d3+ f1_v2 f1_v1 x2^-1
+        f1_d4+ f1_d4- f1_v2 f1_v3 x2 | f1_d4- f1_d4+ f1_v3 f1_v2 x2^-1
+        f1_d5+ f1_d5- f1_v3 f1_v4 x3 | f1_d5- f1_d5+ f1_v4 f1_v3 x3^-1
+        f1_d6+ f1_d6- f1_v4 f1_v5 x3 | f1_d6- f1_d6+ f1_v5 f1_v4 x3^-1
+        f1_d7+ f1_d7- f1_v5 f1_v6 x3 | f1_d7- f1_d7+ f1_v6 f1_v5 x3^-1
+        f1_d8+ f1_d8- f1_v6 f1_v7 x3 | f1_d8- f1_d8+ f1_v7 f1_v6 x3^-1
+        f1_d9+ f1_d9- f1_v7 f1_v8 x3 | f1_d9- f1_d9+ f1_v8 f1_v7 x3^-1
+        """,
+        [
+            ("f0", (
+                "d0+ d1+ d2+ d3+ d4+ d5+ d6+ d7+ d8+ d9+ d10+ d11+ d12+ d13+ d14+ d15+ "
+                "d16+"
+            )),
+            ("f1", (
+                "d16- f1_d1+ f1_d2+ f1_d3+ f1_d4+ f1_d5+ f1_d6+ f1_d7+ f1_d8+ f1_d9+ "
+                "f1_d10+ f1_d11+ f1_d12+ f1_d13+ f1_d14+ f1_d15+ f1_d16+"
+            )),
+        ],
+        [
+            (
+                "d15- d14- d13- d12- d11- d10- d9- d8- d7- d6- d5- d4- d3- d2- d1- d0- "
+                "f1_d16- f1_d15- f1_d14- f1_d13- f1_d12- f1_d11- f1_d10- f1_d9- f1_d8- "
+                "f1_d7- f1_d6- f1_d5- f1_d4- f1_d3- f1_d2- f1_d1-"
+            ),
+        ],
+    ),
+}
+
+
+def _build(name, relator):
+    if name == "polygon x1 x2 x3":
+        return dg.polygon_diagram(parse_word("x1 x2 x3", 3))
+    if name == "path x1 x2":
+        return dg.degenerate_path_diagram(parse_word("x1 x2", 3))
+    if name == "path empty":
+        return dg.degenerate_path_diagram(Word.from_letters([]))
+    if name == "sphere toy":
+        return dg.sphere_double(relator)
+    return glue_second_face(dg.polygon_diagram(relator), relator)
+
+
+def _rendered(data):
+    """diagram_to_dict output in the layout of BUILT."""
+    assert list(data) == ["vertices", "darts", "faces", "contours"]
+    darts = []
+    for item in data["darts"]:
+        assert list(item) == ["id", "inv", "from", "to", "label"]
+        darts.append(" ".join(item.values()))
+    assert len(darts) % 2 == 0
+    return (
+        " ".join(data["vertices"]),
+        [" | ".join(darts[j : j + 2]) for j in range(0, len(darts), 2)],
+        [(face["id"], " ".join(face["cycle"])) for face in data["faces"]],
+        [" ".join(contour) for contour in data["contours"]],
+    )
+
+
+class TestBuilderOutput:
+    @pytest.mark.parametrize("name", list(BUILT))
+    def test_exact_dict(self, toy_relator, name):
+        vertices, darts, faces, contours = BUILT[name]
+        lines = [line.strip() for line in darts.splitlines() if line.strip()]
+        assert _rendered(dg.diagram_to_dict(_build(name, toy_relator))) == (
+            vertices, lines, faces, contours
+        )
+
+    def test_random_corpus_digest(self, toy_presentation):
+        rels = toy_presentation.relator_words()
+        rng = random.Random(20261018)
+        data = [
+            dg.diagram_to_dict(dg.random_diagram(rels, rng.randrange(1, 7), rng))
+            for _ in range(50)
+        ]
+        digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+        assert digest == "1c44d6047bf7314bc189728baf5468af68031f1c27782ec87db849063e08ccc8"

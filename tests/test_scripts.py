@@ -1,0 +1,36 @@
+"""The scripts under scripts/ run to completion from a checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_check_theorem_scale(tmp_path):
+    proc = run_script("check_theorem_scale.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "valid: True" in proc.stdout
+    assert "global inequality S >= (1-2mu)*Sigma: True" in proc.stdout
+    assert "semisimple inequality: True" in proc.stdout
+
+
+def test_build_toy_presentation(tmp_path):
+    out = tmp_path / "p.json"
+    proc = run_script("build_toy_presentation.py", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert out.is_file()
