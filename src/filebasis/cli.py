@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import construction, decision, diagram
 from .construction import ConstructionParams, MalformedParamsError, Presentation
 from .decision import Budget, Outcome
-from .words import MalformedWordError, Word, deglex_compare, iter_reduced_words, parse_word
+from .words import MalformedWordError, Word, iter_reduced_words, parse_word
 
 EX_YES = 0
 EX_NO = 1

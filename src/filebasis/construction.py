@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import decision
 from .words import (
@@ -58,12 +58,11 @@ def least_rational_geq(x: Fraction, max_den: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """n, lambda1, N plus the derived constants lambda2, mu, q."""
+    """n, lambda1, N plus the derived constants lambda2, mu, q (each computed once)."""
 
     n: int
     lambda1: Fraction
     N: int
-    q_override: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -75,15 +74,15 @@ class ConstructionParams:
         if self.N < 1:
             raise MalformedParamsError(f"N must be positive, got {self.N}")
 
-    @property
+    @cached_property
     def lambda2(self) -> Fraction:
         return Fraction(2, self.n)
 
-    @property
+    @cached_property
     def mu(self) -> Fraction:
         return self.lambda1 + 5 * self.lambda2
 
-    @property
+    @cached_property
     def q(self) -> Fraction:
         """Isoperimetric constant: least rational >= 1/(1-2*mu), denominator-capped.
 
@@ -91,8 +90,6 @@ class ConstructionParams:
         infinite), which happens at toy alphabet sizes; q then falls back
         to 1 so the derived edge budgets stay positive.
         """
-        if self.q_override is not None:
-            return self.q_override
         if self.mu >= Fraction(1, 2):
             return Fraction(1)
         return least_rational_geq(1 / (1 - 2 * self.mu), _Q_MAX_DEN)
@@ -262,9 +259,28 @@ class Presentation:
         return reduced_variants(self.variants)
 
     @cached_property
-    def lattice(self) -> tuple[tuple[int, ...], ...]:
-        """Abelian images of the relators, vectors of length n."""
-        return tuple(ab_vector(r.code(), self.params.n) for r in self.relator_words())
+    def lattice(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Echelon basis of the integer span of the relators' abelian images:
+        (pivot column, row) pairs with increasing pivots, each row of length n
+        zero before its pivot and positive at it.  Built column by column by
+        Euclid's algorithm on the live rows; zero images drop out."""
+        n = self.params.n
+        rows = [list(ab_vector(r.code(), n)) for r in self.relator_words()]
+        basis = []
+        for col in range(n):
+            live = [row for row in rows if row[col]]
+            while len(live) > 1:
+                pivot = min(live, key=lambda row: abs(row[col]))
+                for row in live:
+                    if row is not pivot:
+                        k = row[col] // pivot[col]
+                        row[col:] = [a - k * b for a, b in zip(row[col:], pivot[col:])]
+                live = [row for row in live if row[col]]
+            if live:
+                pivot = live[0]
+                rows.remove(pivot)
+                basis.append((col, tuple(a if pivot[col] > 0 else -a for a in pivot)))
+        return tuple(basis)
 
     @cached_property
     def max_relator_len(self) -> int:

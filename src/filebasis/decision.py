@@ -111,45 +111,23 @@ class ConjugacyWitness:
 # abelianized obstruction
 
 
-def _ab_in_lattice(target: Sequence[int], generators: Sequence[Sequence[int]]) -> Optional[bool]:
-    """Exact membership of `target` in the integer span of `generators`.
-
-    Returns True/False when decidable by rational elimination (generators
-    linearly independent, or no rational solution at all); None otherwise.
-    """
-    if all(t == 0 for t in target):
-        return True
-    if not generators:
-        return False
-    cols = len(generators)
-    rows = [[Fraction(g[i]) for g in generators] + [Fraction(target[i])] for i in range(len(target))]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][cols] != 0:
-            return False  # no rational solution
-    if r < cols:
-        return None  # dependent generators; integral membership not settled here
-    solution = [rows[i][cols] for i in range(cols)]
-    return all(x.denominator == 1 for x in solution)
+def _ab_in_lattice(target: Sequence[int], basis: Sequence[tuple[int, Sequence[int]]]) -> bool:
+    """Exact membership of `target` in the lattice of the echelon basis
+    `basis` (as in `Presentation.lattice`): reduced row by row in pivot
+    order, a member leaves no remainder at any pivot and ends at zero."""
+    rest = list(target)
+    for col, row in basis:
+        k, r = divmod(rest[col], row[col])
+        if r:
+            return False
+        if k:
+            rest[col:] = [a - k * b for a, b in zip(rest[col:], row[col:])]
+    return not any(rest)
 
 
 def ab_obstructed(code: str, presentation: Presentation) -> bool:
     """True when the abelianization certifies that no filling of code exists."""
-    target = ab_vector(code, presentation.params.n)
-    return _ab_in_lattice(target, presentation.lattice) is False
+    return not _ab_in_lattice(ab_vector(code, presentation.params.n), presentation.lattice)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ maps, counting contour regions as faces); no geometric embedding is kept.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,9 +44,6 @@ class Complex2:
 
     def edge_count(self) -> int:
         return len(self.inv) // 2
-
-    def edges(self) -> set[frozenset]:
-        return {frozenset((d, self.inv[d])) for d in self.inv}
 
     def degree(self, v) -> int:
         """Incident edge count with loops counted twice = darts leaving v."""
@@ -88,13 +86,6 @@ class DiagramMap:
     @property
     def is_degenerate(self) -> bool:
         return not self.complex.faces
-
-    def external_darts(self) -> set:
-        return {d for contour in self.contours for d in contour}
-
-    def external_edges(self) -> set[frozenset]:
-        inv = self.complex.inv
-        return {frozenset((d, inv[d])) for d in self.external_darts()}
 
 
 @dataclass(frozen=True)
@@ -561,16 +552,27 @@ def maximal_semisimple_submaps(m: DiagramMap) -> list[Submap]:
     ]
 
 
-def selected_external_edges(d: Diagram, sel: Selection) -> set[frozenset]:
-    """External edges one of whose darts lies in a designated subpath."""
-    selected = sel.selected_darts(d.complex)
-    return {edge for edge in d.map.external_edges() if not selected.isdisjoint(edge)}
+def _selected_external_darts(c: Complex2, darts, face_darts, sel: Selection) -> list:
+    """Both darts of every edge of `darts` (closed under the involution)
+    that is external, with a dart outside `face_darts`, and selected, with
+    a dart in a designated subpath.  Each such edge appears twice, so the
+    edge count S is half the length.  Over a whole valid map, with
+    `face_darts` all face darts, the external edges are the contour edges.
+    """
+    inv = c.inv
+    selected = sel.selected_darts(c)
+    return [
+        d
+        for d in darts
+        if (d not in face_darts or inv[d] not in face_darts)
+        and (d in selected or inv[d] in selected)
+    ]
 
 
 def metrics(d: Diagram, sel: Selection) -> DiagramMetrics:
     c = d.complex
     return DiagramMetrics(
-        S=len(selected_external_edges(d, sel)),
+        S=len(_selected_external_darts(c, c.inv, c.face_of, sel)) // 2,
         Sigma=sum(len(cycle) for cycle in c.faces.values()),
         E=c.edge_count(),
         F=len(c.faces),
@@ -604,20 +606,11 @@ def _condition_X(
     c: Complex2, darts, face_darts, faces, sel: Selection, mu: Fraction
 ) -> tuple[bool, DiagramMetrics]:
     """S >= E - mu * Sigma over the edges of `darts` (closed under the
-    involution) and the given faces.  An edge is external when one of its
-    darts is not in `face_darts`; S counts the external edges with a
-    selected dart, by counting their darts and halving."""
-    inv = c.inv
-    selected = sel.selected_darts(c)
-    twice_S = sum(
-        1
-        for d in darts
-        if (d not in face_darts or inv[d] not in face_darts)
-        and (d in selected or inv[d] in selected)
-    )
+    involution) and the given faces, S as in `_selected_external_darts`."""
+    S = len(_selected_external_darts(c, darts, face_darts, sel)) // 2
     Sigma = sum(len(c.faces[fid]) for fid in faces)
     E = len(darts) // 2
-    met = DiagramMetrics(S=twice_S // 2, Sigma=Sigma, E=E, F=len(faces))
+    met = DiagramMetrics(S=S, Sigma=Sigma, E=E, F=len(faces))
     return Fraction(met.S) >= E - mu * Sigma, met
 
 
@@ -651,18 +644,13 @@ def check_letter_budget(
     number strictly less than (k/n) * Sigma, k the subset size."""
     if not letters:
         raise DiagramError("letter subset must be nonempty")
-    if not d.complex.faces:
+    c = d.complex
+    if not c.faces:
         raise DiagramError("degenerate diagram")
-    edges = selected_external_edges(d, sel)
-    count = 0
-    per_letter = {i: 0 for i in letters}
-    for edge in edges:
-        dart = next(iter(edge))
-        index = d.labels[dart][0]
-        if index in letters:
-            count += 1
-            per_letter[index] += 1
-    Sigma = sum(len(cycle) for cycle in d.complex.faces.values())
+    twice = Counter(d.labels[dart][0] for dart in _selected_external_darts(c, c.inv, c.face_of, sel))
+    per_letter = {i: twice[i] // 2 for i in letters}
+    count = sum(per_letter.values())
+    Sigma = sum(len(cycle) for cycle in c.faces.values())
     k = len(letters)
     ok = Fraction(count) < Fraction(k, n) * Sigma
     return ok, {"count": count, "per_letter": per_letter, "Sigma": Sigma, "k": k}

@@ -427,3 +427,42 @@ class TestHandEditedPresentation:
         code = main([*argv[:3], "--presentation", hand_file, *argv[3:]])
         assert code == 0
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+class TestDependentRelators:
+    """Exact stdout over four relators whose abelian images are dependent.
+    Their lattice excludes x1 - x2 and the image (3, 2, 1), so each query is
+    a `no` by the abelian obstruction."""
+
+    RELATORS = ["x1^2", "x2^2", "x3^2", "x1^2 x2^2 x3^2"]
+
+    CASES = {
+        "eq": (
+            ["eq", "x1", "x2", "--witness"],
+            {"outcome": "no", "witness": "abelianized obstruction"},
+        ),
+        "conj": (["conj", "x1", "x2"], {"outcome": "no"}),
+        "eq, trivial word": (
+            ["eq", "x1 x2 x3 x1 x2", "", "--max-states", "200"],
+            {"outcome": "no"},
+        ),
+    }
+
+    @pytest.fixture()
+    def four_file(self, tmp_path):
+        data = {
+            "n": 3, "lambda1": "1/15", "N": 2,
+            "relators": [
+                {"i": i, "w": "", "m": 2, "r": r} for i, r in enumerate(self.RELATORS, 1)
+            ],
+        }
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exact_stdout(self, capsys, four_file, case):
+        argv, expected = self.CASES[case]
+        code = main([*argv[:3], "--presentation", four_file, *argv[3:]])
+        assert code == 1
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -341,3 +343,104 @@ class TestAbelianization:
         for i, k in enumerate(vec, start=1):
             seq.extend([(i, 1 if k > 0 else -1)] * abs(k))
         assert not ab_obstructed(encode(seq), toy_presentation)
+
+
+def lattice_of(vectors, n):
+    """The echelon basis `Presentation.lattice` builds for relators whose
+    abelian images are the given vectors."""
+    texts = [" ".join(f"x{j}^{e}" for j, e in enumerate(v, 1) if e) for v in vectors]
+    relators = tuple(
+        construction.Relator(i, EMPTY, 0, parse_word(text, n)) for i, text in enumerate(texts, 1)
+    )
+    return Presentation(construction.ConstructionParams(n, Fraction(1, 15), 2), relators).lattice
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]]) for j in range(len(m))
+    )
+
+
+def _minor_invariants(vectors, n):
+    """Rank and gcd of the maximal nonzero minors of the matrix with these
+    rows: together with the rational span, they fix the integer lattice."""
+    for r in range(n, 0, -1):
+        g = 0
+        for rows in combinations(vectors, r):
+            for cols in combinations(range(n), r):
+                g = gcd(g, _det([[v[c] for c in cols] for v in rows]))
+        if g:
+            return r, g
+    return 0, 1
+
+
+@st.composite
+def _lattice_cases(draw):
+    """n, up to 5 generators and a target, entries in [-3, 3]."""
+    n = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-3, 3)] * n)
+    return n, draw(st.lists(vector, max_size=5)), draw(vector)
+
+
+class TestExactLattice:
+    """`_ab_in_lattice` over `Presentation.lattice`, on dependent generator
+    sets and zero vectors too, where rational elimination cannot decide."""
+
+    @given(_lattice_cases())
+    def test_echelon_shape(self, case):
+        n, gens, _ = case
+        basis = lattice_of(gens, n)
+        pivots = [col for col, _ in basis]
+        assert pivots == sorted(set(pivots))
+        for col, row in basis:
+            assert len(row) == n and not any(row[:col]) and row[col] > 0
+        assert len(basis) == _minor_invariants(gens, n)[0]
+
+    @given(_lattice_cases(), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+    def test_integer_combinations_are_members(self, case, coeffs):
+        n, gens, _ = case
+        target = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)]
+        assert dec._ab_in_lattice(target, lattice_of(gens, n))
+
+    @given(_lattice_cases(), st.integers(0, 2))
+    def test_odd_entry_never_in_even_lattice(self, case, i):
+        n, gens, target = case
+        odd = list(target)
+        odd[i % n] = 2 * odd[i % n] + 1
+        even = [tuple(2 * a for a in g) for g in gens]
+        assert not dec._ab_in_lattice(odd, lattice_of(even, n))
+
+    @given(_lattice_cases(), st.randoms(use_true_random=False), st.integers(-3, 3))
+    def test_invariant_under_generator_moves(self, case, rnd, k):
+        n, gens, target = case
+        expected = dec._ab_in_lattice(target, lattice_of(gens, n))
+        permuted = rnd.sample(gens, len(gens))
+        assert dec._ab_in_lattice(target, lattice_of(permuted, n)) == expected
+        if gens:
+            duplicated = gens + [rnd.choice(gens)]
+            assert dec._ab_in_lattice(target, lattice_of(duplicated, n)) == expected
+        if len(gens) >= 2:
+            a, b = rnd.sample(range(len(gens)), 2)
+            moved = list(gens)
+            moved[a] = tuple(x + k * y for x, y in zip(gens[a], gens[b]))
+            assert dec._ab_in_lattice(target, lattice_of(moved, n)) == expected
+
+    @settings(max_examples=200)
+    @given(_lattice_cases())
+    def test_agrees_with_minor_invariants(self, case):
+        # target is a member exactly when adding it changes neither the
+        # rank nor the gcd of the maximal minors
+        n, gens, target = case
+        expected = _minor_invariants(gens, n) == _minor_invariants(gens + [target], n)
+        assert dec._ab_in_lattice(target, lattice_of(gens, n)) == expected
+
+    @pytest.mark.parametrize(
+        "gens",
+        [[(2, 0, 0), (0, 0, 0)], [(2, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 2)]],
+    )
+    def test_dependent_generators_decided(self, gens):
+        basis = lattice_of(gens, 3)
+        assert dec._ab_in_lattice((1, 0, 0), basis) is False
+        assert dec._ab_in_lattice((2, 0, 0), basis) is True
