@@ -35,6 +35,7 @@ from .words import (
     cyclic_reduce,
     free_reduce,
     insert,
+    invert,
     iter_reduced_words,
     iter_regular_words,
     least_rotation,
@@ -48,6 +49,7 @@ if TYPE_CHECKING:
 YES = "yes"
 NO = "no"
 EXCEEDED = "budget-exceeded"
+OBSTRUCTED = "abelianized obstruction"  # witness of a no from the abelian image
 
 
 @dataclass(frozen=True)
@@ -171,15 +173,19 @@ def _fill_search(
             child_area = area + len(variant)
             if child_area > area_bound:
                 continue
-            live = child_area + min_variant <= area_bound
-            for j in range(len(word)):
+            if child_area + min_variant > area_bound:
+                # no further insertion fits under the bound, so only an empty
+                # child counts; both words are reduced, so that needs the
+                # whole seam to cancel: a rotation of word reading face^-1
+                j = (word + word).find(invert(face)) if len(face) == len(word) else -1
+                positions = (j,) if j >= 0 else ()
+            else:
+                positions = range(len(word))
+            for j in positions:
                 core = cyclic_join(word, j, face)
                 if not core:
                     trace = _rebuild_trace(parent, word) + ((j, variant),)
                     return _SearchResult(found=True, trace=trace, area=child_area)
-                if not live:
-                    # no further insertion fits under the bound, dead end
-                    continue
                 if len(core) > budget.max_word_len:
                     complete = False
                     continue
@@ -233,7 +239,7 @@ def in_C(
     zlen = len(z)
     e_genuine = floor(E)
     if ab_obstructed(z, presentation):
-        return Outcome(NO, witness="abelianized obstruction")
+        return Outcome(NO, witness=OBSTRUCTED)
     e_cap = min(e_genuine, budget.max_edges)
     area_bound = 2 * e_cap - zlen
     if area_bound < 0:
@@ -355,7 +361,9 @@ def equals_in_G(
         return rewrite_search(presentation, u, v, budget)
     if engine == "both":
         d = in_D(presentation, u, v, budget)
-        if d.is_yes:
+        if d.is_yes or d.witness == OBSTRUCTED:
+            # insertions keep the abelian image in its lattice coset, so
+            # rewriting cannot reach a yes from an obstructed pair
             return d
         r = rewrite_search(presentation, u, v, budget)
         if r.is_yes:
@@ -380,11 +388,20 @@ def regular_normal_form(
     n = presentation.params.n
     bound = (n + 1) * len(g) + n**4 * presentation.max_relator_len
     exceeded_any = bound > budget.max_word_len
+    ab_g = ab_vector(g.code(), n)
     scanned = 0
     for u in iter_regular_words(n, min(bound, budget.max_word_len)):
         scanned += 1
         if scanned > budget.max_states:
             return Outcome(EXCEEDED)
+        if engine != "rewrite":
+            # a regular word's abelian image is its exponent vector; outside
+            # the coset ab(g) + lattice, in_C answers an obstructed no
+            diff = list(ab_g)
+            for index, exp in u.runs:
+                diff[index - 1] -= exp
+            if not _ab_in_lattice(diff, presentation.lattice):
+                continue
         out = equals_in_G(presentation, u, g, budget, engine=engine)
         if out.is_yes:
             return Outcome(YES, witness=u)
@@ -438,7 +455,7 @@ def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) 
 
     # Abelianized conjugacy obstruction: conjugate elements have equal images.
     if ab_obstructed(u.code() + v.inverse().code(), presentation):
-        return Outcome(NO, witness="abelianized obstruction")
+        return Outcome(NO, witness=OBSTRUCTED)
 
     bound_len = ceil(presentation.params.q * (len(u) + len(v)))
 

@@ -1,10 +1,11 @@
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filebasis import construction, words
 from filebasis import decision as dec
@@ -13,6 +14,7 @@ from filebasis.decision import (
     Budget,
     EXCEEDED,
     NO,
+    OBSTRUCTED,
     YES,
     ab_obstructed,
     are_conjugate,
@@ -25,7 +27,19 @@ from filebasis.decision import (
     replay_rewrite,
     rewrite_search,
 )
-from filebasis.words import EMPTY, Word, encode, parse_word
+from filebasis.words import (
+    EMPTY,
+    Word,
+    cyclic_join,
+    cyclic_reduce,
+    encode,
+    invert,
+    iter_regular_words,
+    least_rotation,
+    parse_word,
+    reduced_variants,
+    relator_variants,
+)
 
 
 def w(text, n=3):
@@ -444,3 +458,190 @@ class TestExactLattice:
         basis = lattice_of(gens, 3)
         assert dec._ab_in_lattice((1, 0, 0), basis) is False
         assert dec._ab_in_lattice((2, 0, 0), basis) is True
+
+
+# ---------------------------------------------------------------------------
+# pruned work: the filling search against its unpruned reference, and the
+# calls that engine "both" and the normal-form scan no longer make
+
+
+def _unpruned_fill_search(faces, start, area_bound, budget):
+    """Reference filling search without the pruning of non-live variants:
+    every variant runs the whole position loop, and only an empty child
+    of a non-live variant counts."""
+    start = least_rotation(cyclic_reduce(start)[0])
+    if not start:
+        return dec._SearchResult(found=True)
+    if area_bound <= 0 or not faces:
+        return dec._SearchResult(found=False)
+    min_variant = min(len(variant) for variant, _ in faces)
+    best = {start: 0}
+    parent = {start: None}
+    heap = [(0, start)]
+    complete = True
+
+    def trace_to(word):
+        steps = []
+        while parent[word] is not None:
+            word, j, variant = parent[word]
+            steps.append((j, variant))
+        return tuple(reversed(steps))
+
+    while heap:
+        area, word = heapq.heappop(heap)
+        if area > best.get(word, -1):
+            continue
+        for variant, face in faces:
+            child_area = area + len(variant)
+            if child_area > area_bound:
+                continue
+            live = child_area + min_variant <= area_bound
+            for j in range(len(word)):
+                core = cyclic_join(word, j, face)
+                if not core:
+                    trace = trace_to(word) + ((j, variant),)
+                    return dec._SearchResult(found=True, trace=trace, area=child_area)
+                if not live:
+                    continue
+                if len(core) > budget.max_word_len:
+                    complete = False
+                    continue
+                child = least_rotation(core)
+                if child_area < best.get(child, area_bound + 1):
+                    if child not in best and len(best) >= budget.max_states:
+                        return dec._SearchResult(found=False, complete=False)
+                    best[child] = child_area
+                    parent[child] = (word, j, variant)
+                    heapq.heappush(heap, (child_area, child))
+    return dec._SearchResult(found=False, complete=complete)
+
+
+def _faces(*relators):
+    return reduced_variants(relator_variants([w(text) for text in relators]))
+
+
+FACE_SETS = {
+    "toy": _faces("x1^5 x2^5 x3^5 x1^-1 x2^-1"),
+    # not cyclically reduced, so some faces are shorter than their labels
+    "hand-edited": _faces("x1 x2 x3^2 x1^-1"),
+    "short": _faces("x1 x2 x1^-1 x2^-1", "x3^3"),
+}
+
+
+@st.composite
+def _fill_cases(draw):
+    faces = FACE_SETS[draw(st.sampled_from(sorted(FACE_SETS)))]
+    # start words near products of inverse faces, so that fillings exist
+    # often, and area bounds near the area those faces need
+    pieces, used = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 2)):
+            variant, face = draw(st.sampled_from(faces))
+            pieces.append(invert(face))
+            used += len(variant)
+        else:
+            letters = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+            pieces.append("".join(chr(c) for c in letters))
+    start = cyclic_reduce("".join(pieces))[0]
+    longest = max(len(variant) for variant, _ in faces)
+    area_bound = draw(st.integers(0, 2 * longest + 4) | st.integers(used - 3, used + 6))
+    budget = Budget(max_word_len=draw(st.integers(1, 30)), max_states=draw(st.integers(1, 40)))
+    return faces, start, area_bound, budget
+
+
+class TestFillSearchPruning:
+    @settings(max_examples=300, deadline=None)
+    @given(_fill_cases())
+    # one face fills the word; a commutator, then x3^3 as the last face
+    @example((FACE_SETS["toy"], w("x1^3 x2^5 x3^5 x1^-1 x2^-1 x1^2").code(), 17, Budget()))
+    @example((FACE_SETS["short"], w("x3^-3 x2^-1 x1^-1 x2 x1").code(), 7, Budget()))
+    def test_agrees_with_unpruned_search(self, case):
+        faces, start, area_bound, budget = case
+        pruned = dec._fill_search(faces, start, area_bound, budget)
+        reference = _unpruned_fill_search(faces, start, area_bound, budget)
+        assert (pruned.found, pruned.trace, pruned.area, pruned.complete) == (
+            reference.found, reference.trace, reference.area, reference.complete
+        )
+
+    @pytest.mark.parametrize("name", sorted(FACE_SETS))
+    def test_last_face_found_by_rotation(self, name):
+        # a start word that one face fills, with no room for a second face:
+        # the hit is found without the position loop, at the reference's
+        # position, for every face of the set
+        faces = FACE_SETS[name]
+        for variant, face in faces:
+            start = invert(face)
+            if cyclic_reduce(start)[0] != start:
+                continue
+            pruned = dec._fill_search(faces, start, len(variant), Budget())
+            assert pruned.found
+            assert pruned == _unpruned_fill_search(faces, start, len(variant), Budget())
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(dec, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dec, name, wrapper)
+    return calls
+
+
+class TestNoRewriteAfterObstruction:
+    def test_obstructed_pair_skips_rewriting(self, toy_presentation, toy_budget, monkeypatch):
+        u, v = w("x1 x2 x3^-1 x1"), w("x2^2 x3")
+        expected = in_D(toy_presentation, u, v, toy_budget)
+        assert expected == dec.Outcome(NO, witness=OBSTRUCTED)
+        calls = _counting(monkeypatch, "rewrite_search")
+        out = equals_in_G(toy_presentation, u, v, toy_budget, engine="both")
+        assert out == expected
+        assert calls == []
+
+    def test_rewrite_engine_still_rewrites(self, toy_presentation, monkeypatch):
+        budget = Budget(max_word_len=20, max_states=200)
+        calls = _counting(monkeypatch, "rewrite_search")
+        out = equals_in_G(toy_presentation, w("x1"), w("x2"), budget, engine="rewrite")
+        assert out.exceeded
+        assert len(calls) == 1
+
+    def test_unobstructed_no_falls_through(self, free_presentation, toy_budget, monkeypatch):
+        # an exhausted-search no still runs the rewriting engine
+        calls = _counting(monkeypatch, "rewrite_search")
+        out = equals_in_G(free_presentation, w("x1 x2"), w("x2 x1"), toy_budget, engine="both")
+        assert out == dec.Outcome(NO)
+        assert len(calls) == 1
+
+
+class TestNormalFormCosetScan:
+    G = "x2 x1"
+    TOY_NF = Budget(max_word_len=40, max_states=1500)
+
+    def coset_candidates(self, presentation, g, budget):
+        scanned = []
+        for u in iter_regular_words(presentation.params.n, budget.max_word_len):
+            if len(scanned) == budget.max_states:
+                break
+            scanned.append(u)
+        coset = [u for u in scanned if not ab_obstructed(u.code() + invert(g.code()), presentation)]
+        return scanned, coset
+
+    def test_diagram_engine_tests_coset_only(self, toy_presentation, monkeypatch):
+        g = w(self.G)
+        scanned, coset = self.coset_candidates(toy_presentation, g, self.TOY_NF)
+        assert len(scanned) == 1500 and coset == [w("x1 x2")]
+        calls = _counting(monkeypatch, "equals_in_G")
+        out = regular_normal_form(toy_presentation, g, self.TOY_NF, engine="diagram")
+        assert out == dec.Outcome(EXCEEDED)
+        assert [u for _, u, *_ in calls] == coset
+
+    def test_rewrite_engine_tests_every_candidate(self, toy_presentation, monkeypatch):
+        g = w(self.G)
+        budget = Budget(max_word_len=40, max_states=60)
+        scanned, _ = self.coset_candidates(toy_presentation, g, budget)
+        calls = _counting(monkeypatch, "equals_in_G")
+        out = regular_normal_form(toy_presentation, g, budget, engine="rewrite")
+        assert out == dec.Outcome(EXCEEDED)
+        assert [u for _, u, *_ in calls] == scanned

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to completion from a checkout."""
 
+import json
 import os
 import subprocess
 import sys
@@ -34,3 +35,16 @@ def test_build_toy_presentation(tmp_path):
     proc = run_script("build_toy_presentation.py", str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert out.is_file()
+
+
+def test_diff_toy_queries(tmp_path):
+    proc = run_script("diff_toy_queries.py", "--workloads", "toy-eq", "--seeds", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 270  # 54 blocks of 5 queries at --seconds 20
+    for record in records:
+        assert (record["workload"], record["seed"]) == ("toy-eq", 1)
+        assert record["argv"][0] == "eq"
+        assert "<work>/presentation.json" in record["argv"]
+        assert record["code"] in (0, 1)
+        assert json.loads(record["stdout"])["outcome"] in ("yes", "no")
