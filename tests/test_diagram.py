@@ -590,3 +590,201 @@ class TestBuilderOutput:
         ]
         digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
         assert digest == "1c44d6047bf7314bc189728baf5468af68031f1c27782ec87db849063e08ccc8"
+
+
+# ---------------------------------------------------------------------------
+# exact validation reports of broken maps, each a mutation of the JSON dict
+# of a two-face disc; recorded from the dict-keyed diagram core.  Every
+# mutation keeps each dart's "to" equal to its inverse's "from", so the
+# breakage reaches validation instead of being rejected on load.
+
+
+def _two_face_dict():
+    d = dg.polygon_diagram(parse_word("x1 x2 x3", 3))
+    d = dg.glue_boundary(d, parse_word("x3^-1 x1^2", 3), "f1", 1)
+    return dg.diagram_to_dict(d)
+
+
+def _dart(data, dart_id):
+    return next(item for item in data["darts"] if item["id"] == dart_id)
+
+
+def _repoint(data, dart_id, image):
+    """Point the dart's involution at `image`, keeping "to" consistent."""
+    _dart(data, dart_id)["inv"] = image
+    _dart(data, dart_id)["to"] = _dart(data, image)["from"]
+
+
+def _move_origin(data, dart_id, vertex):
+    _dart(data, dart_id)["from"] = vertex
+    _dart(data, _dart(data, dart_id)["inv"])["to"] = vertex
+
+
+def _swap_first_two(cycle):
+    cycle[0], cycle[1] = cycle[1], cycle[0]
+
+
+BROKEN = {
+    "valid": lambda data: None,
+    "image missing": lambda data: _dart(data, "d0+").update(inv="zz"),
+    "not involutive": lambda data: _repoint(data, "d0+", "d1-"),
+    "fixed point": lambda data: _repoint(data, "f1_d1-", "f1_d1-"),
+    "origin not a vertex": lambda data: _move_origin(data, "d1+", "v9"),
+    "empty boundary": lambda data: data["faces"][1]["cycle"].clear(),
+    "empty contour": lambda data: data["contours"][0].clear(),
+    "unknown darts": lambda data: (
+        data["faces"][1]["cycle"].insert(1, "zz"), data["contours"][0].append(7)
+    ),
+    "cycle breaks": lambda data: _swap_first_two(data["faces"][0]["cycle"]),
+    "repeated and missing": lambda data: (
+        data["contours"][0].append("d0+"), data["contours"][0].remove("d1-")
+    ),
+    "not connected": lambda data: data["vertices"].append("v9"),
+    "euler": lambda data: data["contours"].clear(),
+    "edgeless": lambda data: data.update(
+        vertices=["v0", "v1"], darts=[], faces=[{"id": "f0", "cycle": []}], contours=[]
+    ),
+    "bare vertex": lambda data: data.update(vertices=["v0"], darts=[], faces=[], contours=[]),
+    "inverse label": lambda data: _dart(data, "d1-").update(label="x2"),
+    "no relator match": lambda data: (
+        _dart(data, "d1+").update(label="x3"), _dart(data, "d1-").update(label="x3^-1")
+    ),
+}
+
+
+GOLDEN = {
+    "valid": (
+        [],
+        {
+            "f0": {"relator": 0, "sign": 1, "rotation": 0},
+            "f1": {"relator": 1, "sign": 1, "rotation": 1},
+        },
+    ),
+    "image missing": (
+        [
+            ("dart 'd0+'", "involution image missing"),
+            ("dart 'd0-'", "involution is not involutive"),
+        ],
+        {},
+    ),
+    "not involutive": (
+        [
+            ("dart 'd0+'", "involution is not involutive"),
+            ("dart 'd0-'", "involution is not involutive"),
+        ],
+        {},
+    ),
+    "fixed point": (
+        [
+            ("dart 'f1_d1+'", "involution is not involutive"),
+            ("dart 'f1_d1-'", "involution has a fixed point"),
+        ],
+        {},
+    ),
+    "origin not a vertex": (
+        [
+            ("dart 'd1+'", "origin is not a vertex"),
+        ],
+        {},
+    ),
+    "empty boundary": (
+        [
+            ("face 'f1'", "empty boundary cycle"),
+            ("dart 'd2-'", "appears 0 times (nowhere), expected once"),
+            ("dart 'f1_d1+'", "appears 0 times (nowhere), expected once"),
+            ("dart 'f1_d2+'", "appears 0 times (nowhere), expected once"),
+        ],
+        {},
+    ),
+    "empty contour": (
+        [
+            ("contour 0", "empty contour"),
+            ("dart 'd0-'", "appears 0 times (nowhere), expected once"),
+            ("dart 'd1-'", "appears 0 times (nowhere), expected once"),
+            ("dart 'f1_d1-'", "appears 0 times (nowhere), expected once"),
+            ("dart 'f1_d2-'", "appears 0 times (nowhere), expected once"),
+        ],
+        {},
+    ),
+    "unknown darts": (
+        [
+            ("face 'f1'", "unknown dart 'zz'"),
+            ("contour 0", "unknown dart 7"),
+        ],
+        {},
+    ),
+    "cycle breaks": (
+        [
+            ("face 'f0'", "cycle breaks between darts 'd1+' and 'd0+'"),
+            ("face 'f0'", "cycle breaks between darts 'd0+' and 'd2+'"),
+            ("face 'f0'", "cycle breaks between darts 'd2+' and 'd1+'"),
+        ],
+        {},
+    ),
+    "repeated and missing": (
+        [
+            ("contour 0", "cycle breaks between darts 'f1_d1-' and 'd0+'"),
+            ("dart 'd0+'", "appears 2 times (face 'f0', contour 0), expected once"),
+            ("dart 'd1-'", "appears 0 times (nowhere), expected once"),
+        ],
+        {},
+    ),
+    "not connected": (
+        [
+            ("map", "underlying complex is not connected"),
+            ("map", "Euler characteristic 3 != 2"),
+        ],
+        {},
+    ),
+    "euler": (
+        [
+            ("dart 'd0-'", "appears 0 times (nowhere), expected once"),
+            ("dart 'd1-'", "appears 0 times (nowhere), expected once"),
+            ("dart 'f1_d1-'", "appears 0 times (nowhere), expected once"),
+            ("dart 'f1_d2-'", "appears 0 times (nowhere), expected once"),
+            ("map", "Euler characteristic 1 != 2"),
+        ],
+        {},
+    ),
+    "edgeless": (
+        [
+            ("face 'f0'", "empty boundary cycle"),
+            ("map", "underlying complex is not connected"),
+            ("map", "edgeless map must be a single bare vertex"),
+        ],
+        {},
+    ),
+    "bare vertex": (
+        [],
+        {},
+    ),
+    "inverse label": (
+        [
+            ("dart 'd1+'", "inverse dart label is not the inverse letter"),
+            ("dart 'd1-'", "inverse dart label is not the inverse letter"),
+        ],
+        {},
+    ),
+    "no relator match": (
+        [
+            ("face 'f0'", "label matches no relator in any rotation"),
+        ],
+        {
+            "f0": None,
+            "f1": {"relator": 1, "sign": 1, "rotation": 1},
+        },
+    ),
+}
+
+@pytest.mark.parametrize("name", list(BROKEN))
+def test_validation_report_golden(name):
+    data = _two_face_dict()
+    BROKEN[name](data)
+    d = dg.diagram_from_dict(json.loads(json.dumps(data)), 3)
+    relators = [parse_word("x1 x2 x3", 3), parse_word("x1^2 x3^-1", 3)]
+    issues, face_matches = GOLDEN[name]
+    assert dg.validate_diagram(d, relators).as_dict() == {
+        "ok": not issues,
+        "issues": [{"location": where, "message": message} for where, message in issues],
+        "face_matches": face_matches,
+    }
