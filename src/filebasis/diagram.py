@@ -8,19 +8,28 @@ one face boundary cycle or exactly one contour, never both and never
 twice.  Sphericity of the ambient surface is validated through the Euler
 characteristic (V - E + F + C = 2 for connected disc/annular/spherical
 maps, counting contour regions as faces); no geometric embedding is kept.
+
+Darts and vertices are numbered once, when a diagram is read or built
+(`_diagram`): darts 0 .. 2E-1 and vertices 0 .. V-1, in the order given.
+The involution and the origins are tuples indexed by dart, cycles are
+tuples of darts, and the labels are one code string indexed by dart, in
+the letter encoding of `words`.  The ids of the diagram file are kept, one
+tuple for darts and one for vertices; reports and `diagram_to_dict` use
+them.  Faces keep their ids as keys.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .words import Letter, Word, encode, inverse_letter, invert, parse_letter, relator_variants
+from .words import Letter, Word, encode, invert, parse_letter, relator_variants
 
 
 class DiagramError(ValueError):
@@ -29,18 +38,19 @@ class DiagramError(ValueError):
 
 @dataclass(frozen=True)
 class Complex2:
-    """Oriented combinatorial 2-complex given by darts, involution, faces."""
+    """Oriented combinatorial 2-complex over numbered darts and vertices.
 
-    vertices: frozenset
-    inv: dict  # dart id -> dart id
-    origin: dict  # dart id -> vertex id
-    faces: dict  # face id -> tuple of dart ids (boundary cycle)
+    `inv[d]` is None where d's inverse is not a dart, and `origin[d]` None
+    where d's origin is not a vertex.  `dart_ids` goes on past the darts
+    with the ids that cycles name but no dart has, so that validation can
+    report them.
+    """
 
-    def terminus(self, d) -> object:
-        return self.origin[self.inv[d]]
-
-    def darts(self) -> Iterable:
-        return self.inv.keys()
+    vertices: tuple  # vertex -> its id
+    dart_ids: tuple  # dart -> its id
+    inv: tuple  # dart -> dart
+    origin: tuple  # dart -> vertex
+    faces: dict  # face id -> tuple of darts (boundary cycle)
 
     def edge_count(self) -> int:
         return len(self.inv) // 2
@@ -51,22 +61,31 @@ class Complex2:
 
     def reverse(self, cycle: Sequence) -> tuple:
         """The cycle walked backwards, over the inverse darts."""
-        return tuple(self.inv[d] for d in reversed(cycle))
+        return tuple(map(self.inv.__getitem__, reversed(cycle)))
 
     # -- indexes, computed once per complex --------------------------------
 
     @cached_property
-    def face_of(self) -> dict:
-        """Dart -> (face id, position in that face's boundary cycle), for
-        every dart on a face."""
-        return {d: (fid, pos) for fid, cycle in self.faces.items() for pos, d in enumerate(cycle)}
+    def terminus(self) -> list:
+        """Dart -> the vertex it ends at."""
+        return list(map(self.origin.__getitem__, self.inv))
 
     @cached_property
-    def out_darts(self) -> dict:
+    def face_of(self) -> list:
+        """Dart -> (face id, position in that face's boundary cycle), None
+        for a dart on no face."""
+        face_of: list = [None] * len(self.inv)
+        for fid, cycle in self.faces.items():
+            for pos, d in enumerate(cycle):
+                face_of[d] = (fid, pos)
+        return face_of
+
+    @cached_property
+    def out_darts(self) -> list:
         """Vertex -> the darts leaving it."""
-        out: dict = {v: [] for v in self.vertices}
-        for d in self.inv:
-            out[self.origin[d]].append(d)
+        out: list = [[] for _ in self.vertices]
+        for d, v in enumerate(self.origin):
+            out[v].append(d)
         return out
 
 
@@ -91,20 +110,22 @@ class DiagramMap:
 @dataclass(frozen=True)
 class Diagram:
     map: DiagramMap
-    labels: dict  # dart id -> Letter
+    labels: str  # dart -> code letter
 
     @property
     def complex(self) -> Complex2:
         return self.map.complex
 
-    def path_label(self, darts: Sequence) -> tuple[Letter, ...]:
-        return tuple(self.labels[d] for d in darts)
+    def letter(self, dart) -> Letter:
+        code = ord(self.labels[dart])
+        return (code // 2 + 1, 1 if code & 1 else -1)
+
+    def face_code(self, face_id) -> str:
+        """The face label as a code string."""
+        return "".join(map(self.labels.__getitem__, self.complex.faces[face_id]))
 
     def face_label(self, face_id) -> tuple[Letter, ...]:
-        return self.path_label(self.complex.faces[face_id])
-
-    def boundary_length(self, face_id) -> int:
-        return len(self.complex.faces[face_id])
+        return tuple(map(self.letter, self.complex.faces[face_id]))
 
 
 @dataclass(frozen=True)
@@ -125,11 +146,13 @@ class FaceSelection:
 class Selection:
     per_face: dict  # face id -> FaceSelection
 
-    def selected_darts(self, complex: Complex2) -> set:
-        out = set()
+    def marks(self, complex: Complex2) -> bytearray:
+        """Dart -> 1 on a designated subpath, 0 elsewhere."""
+        marks = bytearray(len(complex.inv))
         for fs in self.per_face.values():
-            out.update(fs.darts(complex))
-        return out
+            for d in fs.darts(complex):
+                marks[d] = 1
+        return marks
 
 
 @dataclass(frozen=True)
@@ -170,39 +193,36 @@ class ValidationReport:
         }
 
 
-def _components(c: Complex2, darts: Optional[set] = None) -> list[set]:
-    """Vertex sets of the connected components of c, with the given darts
-    (all darts when None) as its edges."""
-    inv, origin, out_darts = c.inv, c.origin, c.out_darts
-    seen: set = set()
+def _components(c: Complex2, keep: Optional[bytearray] = None) -> list[list]:
+    """Vertex lists of the connected components of c, with the darts marked
+    in `keep` (all darts when None) as its edges."""
+    terminus, out_darts = c.terminus, c.out_darts
+    seen = bytearray(len(c.vertices))
     components = []
-    for v0 in c.vertices:
-        if v0 in seen:
+    for v0 in range(len(c.vertices)):
+        if seen[v0]:
             continue
-        component = {v0}
-        stack = [v0]
-        while stack:
-            for d in out_darts[stack.pop()]:
-                w = origin[inv[d]]
-                if w not in component and (darts is None or d in darts):
-                    component.add(w)
-                    stack.append(w)
-        seen |= component
+        seen[v0] = 1
+        component = [v0]
+        for v in component:  # grows while it is walked
+            for d in out_darts[v]:
+                w = terminus[d]
+                if not seen[w] and (keep is None or keep[d]):
+                    seen[w] = 1
+                    component.append(w)
         components.append(component)
     return components
 
 
-def match_face_label(
-    label: Sequence[Letter], relators: Sequence[Word]
-) -> Optional[tuple[int, int, int]]:
-    """(relator position, sign, rotation) such that the face label read from
-    `rotation` equals relator^sign, or None.  Uses substring search in the
-    doubled label, so matching stays linear in the boundary length; the
-    lowest match is the least rotation."""
+def match_face_label(label: str, relators: Sequence[Word]) -> Optional[tuple[int, int, int]]:
+    """(relator position, sign, rotation) such that the face label, a code
+    string, read from `rotation` equals relator^sign, or None.  Uses
+    substring search in the doubled label, so matching stays linear in the
+    boundary length; the lowest match is the least rotation."""
     k = len(label)
     if k == 0:
         return None
-    doubled = encode(label) * 2
+    doubled = label * 2
     for pos, r in enumerate(relators):
         for sign, target in ((1, r), (-1, r.inverse())):
             if len(target) != k:
@@ -217,46 +237,52 @@ def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
     """Full structural check plus face-label matching against the relators."""
     issues: list[ValidationIssue] = []
     c = d.complex
+    inv, origin, ids = c.inv, c.origin, c.dart_ids
+    darts = len(inv)
 
-    for dart, image in c.inv.items():
-        if image not in c.inv:
-            issues.append(ValidationIssue(f"dart {dart!r}", "involution image missing"))
-        elif c.inv[image] != dart:
-            issues.append(ValidationIssue(f"dart {dart!r}", "involution is not involutive"))
-        elif image == dart:
-            issues.append(ValidationIssue(f"dart {dart!r}", "involution has a fixed point"))
-        if dart not in c.origin:
-            issues.append(ValidationIssue(f"dart {dart!r}", "missing origin"))
-        elif c.origin[dart] not in c.vertices:
-            issues.append(ValidationIssue(f"dart {dart!r}", "origin is not a vertex"))
+    for k, (j, v) in enumerate(zip(inv, origin)):
+        if j is None or inv[j] != k or j == k or v is None:
+            where = f"dart {ids[k]!r}"
+            if j is None:
+                issues.append(ValidationIssue(where, "involution image missing"))
+            elif inv[j] != k:
+                issues.append(ValidationIssue(where, "involution is not involutive"))
+            elif j == k:
+                issues.append(ValidationIssue(where, "involution has a fixed point"))
+            if v is None:
+                issues.append(ValidationIssue(where, "origin is not a vertex"))
 
     if issues:
         return ValidationReport(tuple(issues), {})
 
     # every face cycle and contour is a closed walk over known darts, and
     # together they partition the darts: each lies in exactly one of them
-    inv, origin = c.inv, c.origin
+    terminus = c.terminus
     cycles = [(f"face {fid!r}", "empty boundary cycle", cycle) for fid, cycle in c.faces.items()]
     cycles += [(f"contour {k}", "empty contour", cycle) for k, cycle in enumerate(d.map.contours)]
-    homes: dict = {dart: [] for dart in inv}
+    count = [0] * darts
     for where, empty, cycle in cycles:
         if not cycle:
             issues.append(ValidationIssue(where, empty))
-        for k, dart in enumerate(cycle):
-            if dart not in inv:
-                issues.append(ValidationIssue(where, f"unknown dart {dart!r}"))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            if a >= darts:
+                issues.append(ValidationIssue(where, f"unknown dart {ids[a]!r}"))
                 continue
-            homes[dart].append(where)
-            nxt = cycle[(k + 1) % len(cycle)]
-            if nxt in inv and origin[inv[dart]] != origin[nxt]:
+            count[a] += 1
+            if b < darts and terminus[a] != origin[b]:
                 issues.append(
-                    ValidationIssue(where, f"cycle breaks between darts {dart!r} and {nxt!r}")
+                    ValidationIssue(where, f"cycle breaks between darts {ids[a]!r} and {ids[b]!r}")
                 )
-    for dart, where in homes.items():
-        if len(where) != 1:
+    if count.count(1) != darts:
+        homes: dict = {k: [] for k, times in enumerate(count) if times != 1}
+        for where, _, cycle in cycles:
+            for a in cycle:
+                if a in homes:
+                    homes[a].append(where)
+        for k, where in homes.items():
             issues.append(
                 ValidationIssue(
-                    f"dart {dart!r}",
+                    f"dart {ids[k]!r}",
                     f"appears {len(where)} times ({', '.join(where) or 'nowhere'}), expected once",
                 )
             )
@@ -266,7 +292,7 @@ def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
 
     # Euler characteristic, counting contour regions as faces.  An edgeless
     # single vertex is exempt: its complementary region has no contour cycle.
-    if c.inv:
+    if darts:
         chi = len(c.vertices) - c.edge_count() + len(c.faces) + len(d.map.contours)
         if chi != 2:
             issues.append(
@@ -275,22 +301,17 @@ def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
     elif len(c.vertices) != 1 or c.faces or d.map.contours:
         issues.append(ValidationIssue("map", "edgeless map must be a single bare vertex"))
 
-    for dart, letter in d.labels.items():
-        if dart not in c.inv:
-            issues.append(ValidationIssue(f"dart {dart!r}", "label on unknown dart"))
-            continue
-        if d.labels.get(c.inv[dart]) != inverse_letter(letter):
+    labels = d.labels
+    for k, j in enumerate(inv):
+        if ord(labels[k]) ^ ord(labels[j]) != 1:
             issues.append(
-                ValidationIssue(f"dart {dart!r}", "inverse dart label is not the inverse letter")
+                ValidationIssue(f"dart {ids[k]!r}", "inverse dart label is not the inverse letter")
             )
-    for dart in c.inv:
-        if dart not in d.labels:
-            issues.append(ValidationIssue(f"dart {dart!r}", "missing label"))
 
     face_matches: dict = {}
     if not issues:
         for fid in c.faces:
-            match = match_face_label(d.face_label(fid), relators)
+            match = match_face_label(d.face_code(fid), relators)
             face_matches[fid] = match
             if match is None:
                 issues.append(
@@ -346,8 +367,8 @@ def special_selection(d: Diagram, n: int, min_fraction: Fraction | None = None) 
         min_fraction = Fraction(n, 2 * n - 2) if n > 1 else Fraction(1, 2)
     per_face = {}
     for fid in d.complex.faces:
-        label = d.face_label(fid)
-        hit = _find_special_subpath(encode(label), n)
+        label = d.face_code(fid)
+        hit = _find_special_subpath(label, n)
         if hit is None:
             raise DiagramError(f"face {fid!r}: no special subpath found")
         start, length = hit
@@ -366,7 +387,7 @@ def special_selection(d: Diagram, n: int, min_fraction: Fraction | None = None) 
 
 def face_rank(d: Diagram, face_id, presentation) -> int:
     """Index j of the relator whose r_j^{+-1} the face reads."""
-    match = match_face_label(d.face_label(face_id), presentation.relator_words())
+    match = match_face_label(d.face_code(face_id), presentation.relator_words())
     if match is None:
         raise DiagramError(f"face {face_id!r}: label matches no relator")
     return presentation.relators[match[0]].i
@@ -381,15 +402,15 @@ def find_immediately_cancellable(d: Diagram) -> list[frozenset]:
     shared edge: a dart on one face whose inverse is on the other, with the
     two boundary readings from that edge being equal words."""
     c = d.complex
-    face_of = c.face_of
-    labels = {fid: encode(d.face_label(fid)) for fid in c.faces}
+    inv, face_of = c.inv, c.face_of
+    labels = {fid: d.face_code(fid) for fid in c.faces}
     same: dict = {}  # (f1, f2, (p1 + p2) % k) -> whether the readings agree
     pairs = set()
-    for dart, (f1, p1) in face_of.items():
-        other = c.inv[dart]
-        if other not in face_of:
+    for dart, home in enumerate(face_of):
+        other = face_of[inv[dart]]
+        if home is None or other is None:
             continue
-        f2, p2 = face_of[other]
+        (f1, p1), (f2, p2) = home, other
         k = len(labels[f1])
         if f1 == f2 or len(labels[f2]) != k:
             continue
@@ -421,36 +442,33 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
     Each arc is reported once per orientation class: the returned list
     contains one dart sequence per undirected arc.  Closed cycles all of
     whose vertices have degree 2 are reported as a single closed arc.
+    Arcs start at darts in the order of their ids as strings: first the
+    darts leaving a vertex whose degree is not 2, then the closed cycles.
     """
     c = m.complex
-    out_darts = c.out_darts
-    seen: set = set()
-    arcs = []
+    inv, terminus, out_darts = c.inv, c.terminus, c.out_darts
+    seen = bytearray(len(inv))
 
-    def walk(start_dart) -> tuple:
-        path = [start_dart]
-        seen.add(start_dart)
-        seen.add(c.inv[start_dart])
+    def walk(dart) -> tuple:
+        path = [dart]
+        seen[dart] = seen[inv[dart]] = 1
         while True:
-            v = c.terminus(path[-1])
-            if len(out_darts[v]) != 2:
+            out = out_darts[terminus[dart]]
+            if len(out) != 2:
                 break
-            nxt = [dd for dd in out_darts[v] if dd != c.inv[path[-1]]]
-            if len(nxt) != 1 or nxt[0] in seen:
+            dart = out[out[0] == inv[dart]]  # the dart that does not come back
+            if seen[dart]:
                 break
-            path.append(nxt[0])
-            seen.add(nxt[0])
-            seen.add(c.inv[nxt[0]])
+            path.append(dart)
+            seen[dart] = seen[inv[dart]] = 1
         return tuple(path)
 
-    for dart in sorted(c.inv, key=str):
-        if dart in seen:
-            continue
-        if len(out_darts[c.origin[dart]]) != 2:
-            arcs.append(walk(dart))
-    # leftover darts belong to closed degree-2 cycles
-    for dart in sorted(c.inv, key=str):
-        if dart not in seen:
+    keys = list(map(str, c.dart_ids))
+    starts = [dart for out in out_darts if len(out) != 2 for dart in out]
+    arcs = [walk(dart) for dart in sorted(starts, key=keys.__getitem__) if not seen[dart]]
+    # the darts left over lie on closed degree-2 cycles
+    for dart in sorted(range(len(inv)), key=keys.__getitem__):
+        if not seen[dart]:
             arcs.append(walk(dart))
     return arcs
 
@@ -458,11 +476,11 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
 def double_selected_arcs(d: Diagram, sel: Selection) -> list[tuple]:
     """Maximal arcs both of whose orientations lie in designated subpaths."""
     inv = d.complex.inv
-    selected = sel.selected_darts(d.complex)
+    marks = sel.marks(d.complex)
     return [
         arc
         for arc in maximal_arcs(d.map)
-        if all(dart in selected and inv[dart] in selected for dart in arc)
+        if all(marks[dart] and marks[inv[dart]] for dart in arc)
     ]
 
 
@@ -486,10 +504,10 @@ def check_condition_B(
     selected length at least (1-lambda1) of the boundary, and every
     double-selected arc at most lambda2 of the boundary."""
     c = d.complex
-    face_of = c.face_of
+    inv, face_of = c.inv, c.face_of
     arcs_at: dict = {fid: [] for fid in c.faces}  # face -> incident double-selected arcs
     for arc in double_selected_arcs(d, sel):
-        for fid in {face_of[x][0] for dart in arc for x in (dart, c.inv[dart]) if x in face_of}:
+        for fid in {face_of[x][0] for dart in arc for x in (dart, inv[dart]) if face_of[x]}:
             arcs_at[fid].append(arc)
     reports = []
     for fid, cycle in c.faces.items():
@@ -513,10 +531,15 @@ def check_condition_B(
 # semisimple submaps and condition X
 
 
+def _on_faces(c: Complex2) -> bytearray:
+    """Dart -> 1 where the dart or its inverse lies on a face."""
+    face_of = c.face_of
+    return bytearray(bool(face_of[d] or face_of[j]) for d, j in enumerate(c.inv))
+
+
 def is_semisimple(m: DiagramMap) -> bool:
     """Every edge is incident to a face."""
-    inv, face_of = m.complex.inv, m.complex.face_of
-    return all(dart in face_of or inv[dart] in face_of for dart in inv)
+    return all(_on_faces(m.complex))
 
 
 @dataclass(frozen=True)
@@ -536,14 +559,18 @@ def maximal_semisimple_submaps(m: DiagramMap) -> list[Submap]:
     edge and face membership.
     """
     c = m.complex
-    face_of = c.face_of
-    keep = {dart for dart in c.inv if dart in face_of or c.inv[dart] in face_of}
-    components = sorted(_components(c, keep), key=lambda comp: min(map(str, comp)))
-    index = {v: k for k, comp in enumerate(components) for v in comp}
+    keep = _on_faces(c)
+    names = list(map(str, c.vertices))
+    components = sorted(_components(c, keep), key=lambda comp: min(map(names.__getitem__, comp)))
+    index = [0] * len(c.vertices)
+    for k, comp in enumerate(components):
+        for v in comp:
+            index[v] = k
     darts: list = [[] for _ in components]
     faces: list = [[] for _ in components]
-    for dart in keep:
-        darts[index[c.origin[dart]]].append(dart)
+    for dart, v in enumerate(c.origin):
+        if keep[dart]:
+            darts[index[v]].append(dart)
     for fid, cycle in c.faces.items():
         faces[index[c.origin[cycle[0]]]].append(fid)
     return [
@@ -552,27 +579,27 @@ def maximal_semisimple_submaps(m: DiagramMap) -> list[Submap]:
     ]
 
 
-def _selected_external_darts(c: Complex2, darts, face_darts, sel: Selection) -> list:
+def _selected_external_darts(c: Complex2, darts, on_face, sel: Selection) -> list:
     """Both darts of every edge of `darts` (closed under the involution)
-    that is external, with a dart outside `face_darts`, and selected, with
-    a dart in a designated subpath.  Each such edge appears twice, so the
-    edge count S is half the length.  Over a whole valid map, with
-    `face_darts` all face darts, the external edges are the contour edges.
+    that is external, with a dart not marked in `on_face`, and selected,
+    with a dart in a designated subpath.  Each such edge appears twice, so
+    the edge count S is half the length.  Over a whole valid map, with
+    `on_face` marking all face darts, the external edges are the contour
+    edges.
     """
     inv = c.inv
-    selected = sel.selected_darts(c)
+    marks = sel.marks(c)
     return [
         d
         for d in darts
-        if (d not in face_darts or inv[d] not in face_darts)
-        and (d in selected or inv[d] in selected)
+        if not (on_face[d] and on_face[inv[d]]) and (marks[d] or marks[inv[d]])
     ]
 
 
 def metrics(d: Diagram, sel: Selection) -> DiagramMetrics:
     c = d.complex
     return DiagramMetrics(
-        S=len(_selected_external_darts(c, c.inv, c.face_of, sel)) // 2,
+        S=len(_selected_external_darts(c, range(len(c.inv)), c.face_of, sel)) // 2,
         Sigma=sum(len(cycle) for cycle in c.faces.values()),
         E=c.edge_count(),
         F=len(c.faces),
@@ -590,7 +617,7 @@ def check_condition_X(
     if not is_semisimple(m):
         raise DiagramError("map is not semisimple")
     c = m.complex
-    return _condition_X(c, c.inv, c.face_of, c.faces, sel, mu)
+    return _condition_X(c, range(len(c.inv)), c.face_of, c.faces, sel, mu)
 
 
 def submap_condition_X(
@@ -598,16 +625,19 @@ def submap_condition_X(
 ) -> tuple[bool, DiagramMetrics]:
     """Condition X evaluated on one maximal semisimple submap in place."""
     c = m.complex
-    face_darts = {dart for fid in sub.faces for dart in c.faces[fid]}
-    return _condition_X(c, sub.darts, face_darts, sub.faces, sel, mu)
+    on_face = bytearray(len(c.inv))
+    for fid in sub.faces:
+        for dart in c.faces[fid]:
+            on_face[dart] = 1
+    return _condition_X(c, sub.darts, on_face, sub.faces, sel, mu)
 
 
 def _condition_X(
-    c: Complex2, darts, face_darts, faces, sel: Selection, mu: Fraction
+    c: Complex2, darts, on_face, faces, sel: Selection, mu: Fraction
 ) -> tuple[bool, DiagramMetrics]:
     """S >= E - mu * Sigma over the edges of `darts` (closed under the
     involution) and the given faces, S as in `_selected_external_darts`."""
-    S = len(_selected_external_darts(c, darts, face_darts, sel)) // 2
+    S = len(_selected_external_darts(c, darts, on_face, sel)) // 2
     Sigma = sum(len(c.faces[fid]) for fid in faces)
     E = len(darts) // 2
     met = DiagramMetrics(S=S, Sigma=Sigma, E=E, F=len(faces))
@@ -647,7 +677,8 @@ def check_letter_budget(
     c = d.complex
     if not c.faces:
         raise DiagramError("degenerate diagram")
-    twice = Counter(d.labels[dart][0] for dart in _selected_external_darts(c, c.inv, c.face_of, sel))
+    external = _selected_external_darts(c, range(len(c.inv)), c.face_of, sel)
+    twice = Counter(ord(d.labels[dart]) // 2 + 1 for dart in external)
     per_letter = {i: twice[i] // 2 for i in letters}
     count = sum(per_letter.values())
     Sigma = sum(len(cycle) for cycle in c.faces.values())
@@ -669,60 +700,111 @@ def mirror_copy(d: Diagram) -> Diagram:
     c = d.complex
     new_faces = {fid: c.reverse(cycle) for fid, cycle in c.faces.items()}
     new_contours = tuple(c.reverse(cycle) for cycle in d.map.contours)
-    new_complex = Complex2(c.vertices, c.inv, c.origin, new_faces)
-    return Diagram(DiagramMap(new_complex, new_contours), d.labels)
+    return Diagram(DiagramMap(replace(c, faces=new_faces), new_contours), d.labels)
 
 
 # ---------------------------------------------------------------------------
-# JSON I/O
+# numbering, and JSON I/O
+
+
+def _index(ids: Sequence, kind: str) -> dict:
+    """Id -> its position in `ids`; a repeated id is an error."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        repeated = next(x for k, x in enumerate(ids) if index[x] != k)
+        raise DiagramError(f"{kind} id {repeated!r} appears more than once")
+    return index
+
+
+def _numbered(dart_of: dict, cycle: Iterable) -> tuple:
+    """The darts of a cycle of dart ids.  An id that names no dart gets the
+    next number after the darts, so that validation can report it."""
+    try:
+        return tuple(map(dart_of.__getitem__, cycle))
+    except KeyError:
+        return tuple(dart_of.setdefault(x, len(dart_of)) for x in cycle)
+
+
+def _diagram(
+    vertices: Iterable,
+    darts: Sequence,
+    invs: Sequence,
+    froms: Sequence,
+    labels: str,
+    faces: Sequence[tuple],
+    contours: Iterable[Iterable],
+) -> Diagram:
+    """The diagram in file ids: dart k is `darts[k]`, with inverse
+    `invs[k]`, origin `froms[k]` and code letter `labels[k]`; `faces` holds
+    (face id, cycle) pairs and `contours` cycles.  Numbers the vertices and
+    the darts in the order given; a repeated id is an error."""
+    vertices = tuple(vertices)
+    vertex_of = _index(vertices, "vertex")
+    dart_of = _index(darts, "dart")
+    _index([fid for fid, _ in faces], "face")
+    inv = tuple(map(dart_of.get, invs))
+    origin = tuple(map(vertex_of.get, froms))
+    cycles = {fid: _numbered(dart_of, cycle) for fid, cycle in faces}
+    contours = tuple(_numbered(dart_of, cycle) for cycle in contours)
+    complex = Complex2(vertices, tuple(dart_of), inv, origin, cycles)
+    return Diagram(DiagramMap(complex, contours), labels)
 
 
 def diagram_to_dict(d: Diagram) -> dict:
     c = d.complex
+    ids, vertices, inv, origin = c.dart_ids, c.vertices, c.inv, c.origin
+    text = {code: str(Word.from_code(code)) for code in set(d.labels)}
     return {
-        "vertices": sorted(c.vertices, key=str),
+        "vertices": sorted(vertices, key=str),
         "darts": [
             {
-                "id": dart,
-                "inv": c.inv[dart],
-                "from": c.origin[dart],
-                "to": c.terminus(dart),
-                "label": str(Word.from_letters([d.labels[dart]])),
+                "id": ids[k],
+                "inv": ids[inv[k]],
+                "from": vertices[origin[k]],
+                "to": vertices[origin[inv[k]]],
+                "label": text[d.labels[k]],
             }
-            for dart in sorted(c.inv, key=str)
+            for k in sorted(range(len(inv)), key=lambda k: str(ids[k]))
         ],
         "faces": [
-            {"id": fid, "cycle": list(cycle)} for fid, cycle in sorted(c.faces.items(), key=lambda kv: str(kv[0]))
+            {"id": fid, "cycle": [ids[k] for k in cycle]}
+            for fid, cycle in sorted(c.faces.items(), key=lambda kv: str(kv[0]))
         ],
-        "contours": [list(cycle) for cycle in d.map.contours],
+        "contours": [[ids[k] for k in cycle] for cycle in d.map.contours],
     }
 
 
 def diagram_from_dict(data: dict, n: int | None = None) -> Diagram:
     """Read a diagram; labels are single letters of the word grammar,
-    range-checked against n when it is given."""
+    range-checked against n when it is given.  Ids must be distinct, and a
+    dart whose inverse is a dart must end ("to") where the inverse starts."""
     try:
-        vertices = frozenset(data["vertices"])
-        inv = {}
-        origin = {}
-        labels = {}
-        letters: dict = {}  # label text -> letter; parsed once per distinct text
-        for item in data["darts"]:
-            inv[item["id"]] = item["inv"]
-            origin[item["id"]] = item["from"]
-            text = item["label"]
-            if text not in letters:
-                letters[text] = parse_letter(text, n)
-            labels[item["id"]] = letters[text]
-        faces = {item["id"]: tuple(item["cycle"]) for item in data["faces"]}
-        contours = tuple(tuple(cycle) for cycle in data["contours"])
-        # ids are dictionary keys: a list or object where one is expected
-        # fails here, as a TypeError, rather than deep inside a checker
-        hash((tuple(inv.values()), tuple(origin.values()), tuple(faces.values()), contours))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        darts = data["darts"]
+        ids, invs, froms, tos, texts = (
+            tuple(map(itemgetter(key), darts)) for key in ("id", "inv", "from", "to", "label")
+        )
+        # each distinct label text is parsed once, in order of appearance
+        codes = {text: encode([parse_letter(text, n)]) for text in dict.fromkeys(texts)}
+        d = _diagram(
+            data["vertices"],
+            ids,
+            invs,
+            froms,
+            "".join(map(codes.__getitem__, texts)),
+            [(item["id"], item["cycle"]) for item in data["faces"]],
+            data["contours"],
+        )
+    except DiagramError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"bad diagram data: {exc}") from exc
-    complex = Complex2(vertices, inv, origin, faces)
-    return Diagram(DiagramMap(complex, contours), labels)
+    for k, j in enumerate(d.complex.inv):
+        if j is not None and tos[k] != froms[j]:
+            raise DiagramError(
+                f"dart {ids[k]!r} ends at {tos[k]!r}, "
+                f"but its inverse {ids[j]!r} starts at {froms[j]!r}"
+            )
+    return d
 
 
 def load_diagram(path: str, n: int | None = None) -> Diagram:
@@ -736,26 +818,19 @@ def load_diagram(path: str, n: int | None = None) -> Diagram:
 
 def _path(
     letters: Sequence[Letter], stops: Sequence, name: Callable[[int], str]
-) -> tuple[tuple, dict, dict, dict]:
-    """The edges of a path reading `letters`: letter j runs from stops[j]
-    to stops[j + 1] on dart name(j) + "+", whose inverse is name(j) + "-".
-    Returns the forward darts and the involution, origin and label tables
-    of the new darts."""
-    path = []
-    inv: dict = {}
-    origin: dict = {}
-    labels: dict = {}
-    for j, letter in enumerate(letters):
+) -> tuple[list, list, list, str]:
+    """The darts of a path reading `letters`: letter j runs from stops[j]
+    to stops[j + 1] on dart name(j) + "+", followed by its inverse
+    name(j) + "-".  Returns their ids, inverse ids, origins and labels, as
+    `_diagram` takes them."""
+    darts, invs, froms = [], [], []
+    for j in range(len(letters)):
         stem = name(j)
-        dart, anti = stem + "+", stem + "-"
-        inv[dart] = anti
-        inv[anti] = dart
-        origin[dart] = stops[j]
-        origin[anti] = stops[j + 1]
-        labels[dart] = letter
-        labels[anti] = inverse_letter(letter)
-        path.append(dart)
-    return tuple(path), inv, origin, labels
+        darts += (stem + "+", stem + "-")
+        invs += (stem + "-", stem + "+")
+        froms += (stops[j], stops[j + 1])
+    labels = "".join(code + chr(ord(code) ^ 1) for code in encode(letters))
+    return darts, invs, froms, labels
 
 
 def polygon_diagram(word: Word, face_id: str = "f0") -> Diagram:
@@ -765,19 +840,17 @@ def polygon_diagram(word: Word, face_id: str = "f0") -> Diagram:
     if not letters:
         raise DiagramError("cannot build a polygon on the empty word")
     stops = [f"v{j}" for j in range(len(letters))]
-    cycle, inv, origin, labels = _path(letters, stops + stops[:1], lambda j: f"d{j}")
-    complex = Complex2(frozenset(stops), inv, origin, {face_id: cycle})
-    return Diagram(DiagramMap(complex, (complex.reverse(cycle),)), labels)
+    darts, invs, froms, labels = _path(letters, stops + stops[:1], lambda j: f"d{j}")
+    return _diagram(stops, darts, invs, froms, labels, [(face_id, darts[::2])], [darts[::-2]])
 
 
 def degenerate_path_diagram(word: Word) -> Diagram:
     """Face-free disc whose single contour reads word * word^-1."""
     letters = word.letter_tuple()
     stops = [f"v{j}" for j in range(len(letters) + 1)]
-    path, inv, origin, labels = _path(letters, stops, lambda j: f"d{j}")
-    complex = Complex2(frozenset(stops), inv, origin, {})
-    contour = path + complex.reverse(path)
-    return Diagram(DiagramMap(complex, (contour,) if contour else ()), labels)
+    darts, invs, froms, labels = _path(letters, stops, lambda j: f"d{j}")
+    contour = darts[::2] + darts[::-2]
+    return _diagram(stops, darts, invs, froms, labels, [], [contour] if contour else [])
 
 
 def sphere_double(word: Word) -> Diagram:
@@ -786,8 +859,7 @@ def sphere_double(word: Word) -> Diagram:
     base = polygon_diagram(word, face_id="front")
     c = base.complex
     faces = {"front": c.faces["front"], "back": base.map.contours[0]}
-    complex = Complex2(c.vertices, c.inv, c.origin, faces)
-    return Diagram(DiagramMap(complex, ()), base.labels)
+    return Diagram(DiagramMap(replace(c, faces=faces), ()), base.labels)
 
 
 def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram:
@@ -797,7 +869,7 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
     The attached face's boundary cycle starts with those contour darts,
     which migrate from the contour into the face (preserving the dart
     partition); `word` must therefore begin with the labels of the shared
-    contour segment.
+    contour segment.  The old darts and vertices keep their numbers.
     """
     if not d.map.is_disc:
         raise DiagramError("gluing expects a disc diagram")
@@ -810,29 +882,37 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
         raise DiagramError("overlap exceeds contour length")
     c = d.complex
 
-    shared = tuple(contour[:overlap])
+    shared = contour[:overlap]
     for j, dart in enumerate(shared):
-        if d.labels[dart] != letters[j]:
+        if d.letter(dart) != letters[j]:
             raise DiagramError(
                 f"overlap letter {j} mismatch: contour side reads "
-                f"{d.labels[dart]}, new face needs {letters[j]}"
+                f"{d.letter(dart)}, new face needs {letters[j]}"
             )
 
     # the fresh part of the face runs from the end of the shared segment
     # back to its start, through k - overlap - 1 new vertices
-    fresh_vertices = [f"{face_id}_v{j}" for j in range(k - overlap - 1)]
-    stops = [c.terminus(shared[-1]), *fresh_vertices, c.origin[shared[0]]]
-    fresh, inv, origin, labels = _path(
+    ids, vertices = c.dart_ids, c.vertices
+    fresh_vertices = tuple(f"{face_id}_v{j}" for j in range(k - overlap - 1))
+    stops = [vertices[c.terminus[shared[-1]]], *fresh_vertices, vertices[c.origin[shared[0]]]]
+    darts, invs, froms, labels = _path(
         letters[overlap:], stops, lambda j: f"{face_id}_d{j + overlap}"
     )
-    complex = Complex2(
-        frozenset(c.vertices).union(fresh_vertices),
-        {**c.inv, **inv},
-        {**c.origin, **origin},
-        {**c.faces, face_id: shared + fresh},
+
+    def named(path) -> list:
+        return [ids[dart] for dart in path]
+
+    faces = [(fid, named(cycle)) for fid, cycle in c.faces.items()]
+    faces.append((face_id, named(shared) + darts[::2]))
+    return _diagram(
+        vertices + fresh_vertices,
+        named(range(len(c.inv))) + darts,
+        named(c.inv) + invs,
+        [vertices[v] for v in c.origin] + froms,
+        d.labels + labels,
+        faces,
+        [named(contour[overlap:]) + darts[::-2]],
     )
-    new_contour = tuple(contour[overlap:]) + complex.reverse(fresh)
-    return Diagram(DiagramMap(complex, (new_contour,)), {**d.labels, **labels})
 
 
 def rotate_contour(d: Diagram, k: int) -> Diagram:
@@ -860,7 +940,7 @@ def random_diagram(relators: Sequence[Word], faces: int, rng) -> Diagram:
         overlaps = list(range(1, min(len(contour), max(len(r) for r in relators)) ))
         rng.shuffle(overlaps)
         for overlap in overlaps:
-            prefix = encode(d.labels[contour[j]] for j in range(overlap))
+            prefix = "".join(d.labels[contour[j]] for j in range(overlap))
             fits = [v for v in variants if len(v) > overlap and v.startswith(prefix)]
             if not fits:
                 continue

@@ -1,6 +1,7 @@
 """End-to-end acceptance suite.  One test per criterion; the conftest hook
 prints one pass/fail line for each."""
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -115,27 +116,27 @@ def test_criterion_5_diagram_invariant_fuzzing(toy_presentation):
         d = dg.random_diagram(rels, rng.randrange(1, 7), rng)
         assert dg.validate_diagram(d, rels).ok
 
-        c = d.complex
-        # mutation 1: break the involution on a random dart
-        darts = sorted(c.inv, key=str)
+        # the mutations edit the diagram's JSON dict, which lists the darts
+        # sorted by id and the faces in order of creation
+        data = dg.diagram_to_dict(d)
+        dart = {item["id"]: item for item in data["darts"]}
+        darts = list(dart)
+
+        # mutation 1: break the involution on a random dart ("to" follows,
+        # so the map is read and the break is left to validation)
         victim = rng.choice(darts)
-        other = rng.choice([x for x in darts if x not in (victim, c.inv[victim])])
-        inv = dict(c.inv)
-        inv[victim] = other
-        broken = dg.Diagram(
-            dg.DiagramMap(dg.Complex2(c.vertices, inv, c.origin, c.faces), d.map.contours),
-            d.labels,
-        )
-        rep = dg.validate_diagram(broken, rels)
+        other = rng.choice([x for x in darts if x not in (victim, dart[victim]["inv"])])
+        broken = copy.deepcopy(data)
+        broken["darts"][darts.index(victim)].update(inv=other, to=dart[other]["from"])
+        rep = dg.validate_diagram(dg.diagram_from_dict(broken), rels)
         assert not rep.ok
         assert all(i.location for i in rep.issues)
 
         # mutation 2: duplicate a face dart into the contour
-        face_dart = rng.choice([x for cyc in c.faces.values() for x in cyc])
-        contours = list(d.map.contours)
-        contours[0] = contours[0] + (face_dart,)
-        dup = dg.Diagram(dg.DiagramMap(c, tuple(contours)), d.labels)
-        rep = dg.validate_diagram(dup, rels)
+        face_dart = rng.choice([x for face in data["faces"] for x in face["cycle"]])
+        dup = copy.deepcopy(data)
+        dup["contours"][0].append(face_dart)
+        rep = dg.validate_diagram(dg.diagram_from_dict(dup), rels)
         assert not rep.ok
         assert any(str(face_dart) in i.location for i in rep.issues)
 
@@ -150,7 +151,7 @@ def test_criterion_6_special_selection(toy_presentation, toy_params):
     base = dg.polygon_diagram(r1)
     for k in range(len(base.map.contours[0])):
         rotated = dg.rotate_contour(base, k)
-        shared = rotated.labels[rotated.map.contours[0][0]]
+        shared = rotated.letter(rotated.map.contours[0][0])
         for source in (r1.letter_tuple(), r1.inverse().letter_tuple()):
             for rot in range(len(source)):
                 v = source[rot:] + source[:rot]

@@ -273,6 +273,46 @@ class TestTrustBoundary:
         assert captured.out == ""
         assert "error" in json.loads(captured.err)
 
+    @pytest.mark.parametrize("kind", ["dart", "vertex", "face"])
+    def test_repeated_id(self, capsys, tmp_path, pres_file, toy_presentation, kind):
+        from filebasis import diagram as dg
+
+        data = dg.diagram_to_dict(dg.polygon_diagram(toy_presentation.relators[0].r))
+        if kind == "dart":
+            # a first entry for d0+ with another label, which a later entry
+            # for the same id would silently replace if repeats were read
+            data["darts"].insert(0, dict(data["darts"][0], label="x2"))
+            repeated = "d0+"
+        elif kind == "vertex":
+            data["vertices"].append("v3")
+            repeated = "v3"
+        else:
+            data["faces"].append(dict(data["faces"][0]))
+            repeated = "f0"
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(data))
+        code = main(["check-diagram", str(path), "--presentation", pres_file])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": f"{kind} id {repeated!r} appears more than once"}
+
+    def test_inconsistent_to(self, capsys, tmp_path, pres_file, toy_presentation):
+        from filebasis import diagram as dg
+
+        data = dg.diagram_to_dict(dg.polygon_diagram(toy_presentation.relators[0].r))
+        assert data["darts"][0]["id"] == "d0+" and data["darts"][1]["from"] == "v1"
+        data["darts"][0]["to"] = "v5"
+        path = tmp_path / "face.json"
+        path.write_text(json.dumps(data))
+        code = main(["check-diagram", str(path), "--presentation", pres_file])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "dart 'd0+' ends at 'v5', but its inverse 'd0-' starts at 'v1'"
+        }
+
 
 class TestPinnedWitnesses:
     """Exact stdout of witness-carrying answers; the witnesses depend on the

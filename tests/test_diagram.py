@@ -25,7 +25,7 @@ def glue_second_face(d, relator, inverted=False):
     """Attach a second face along the first contour dart, reading the
     relator (or its inverse) from a rotation that fits."""
     contour = d.map.contours[0]
-    shared = d.labels[contour[0]]
+    shared = d.letter(contour[0])
     base = relator.inverse().letter_tuple() if inverted else relator.letter_tuple()
     for k in range(len(base)):
         rot = base[k:] + base[:k]
@@ -119,14 +119,9 @@ class TestValidate:
         assert d.map.is_degenerate
 
     def test_broken_involution_located(self, toy_face, toy_relator):
-        c = toy_face.complex
-        inv = dict(c.inv)
-        inv["d0+"] = "d1-"  # no longer involutive
-        bad = dg.Diagram(
-            dg.DiagramMap(dg.Complex2(c.vertices, inv, c.origin, c.faces), toy_face.map.contours),
-            toy_face.labels,
-        )
-        report = dg.validate_diagram(bad, [toy_relator])
+        data = dg.diagram_to_dict(toy_face)
+        _repoint(data, "d0+", "d1-")  # no longer involutive
+        report = dg.validate_diagram(dg.diagram_from_dict(data), [toy_relator])
         assert not report.ok
         assert any("d0+" in i.location or "d1-" in i.location for i in report.issues)
 
@@ -138,10 +133,9 @@ class TestValidate:
         assert any("appears 2 times" in i.message for i in report.issues)
 
     def test_bad_label_involution(self, toy_face, toy_relator):
-        labels = dict(toy_face.labels)
-        labels["d0-"] = labels["d0+"]
-        bad = dg.Diagram(toy_face.map, labels)
-        report = dg.validate_diagram(bad, [toy_relator])
+        data = dg.diagram_to_dict(toy_face)
+        _dart(data, "d0-")["label"] = _dart(data, "d0+")["label"]
+        report = dg.validate_diagram(dg.diagram_from_dict(data), [toy_relator])
         assert not report.ok
 
     def test_json_roundtrip(self, toy_face, toy_relator):
@@ -161,7 +155,7 @@ class TestSpecialSelection:
         fs = sel.per_face["f0"]
         assert fs.length == 15
         assert Fraction(fs.length) > Fraction(3, 4) * len(toy_relator)
-        label = [toy_face.labels[d] for d in fs.darts(toy_face.complex)]
+        label = [toy_face.letter(d) for d in fs.darts(toy_face.complex)]
         assert label == [(1, 1)] * 5 + [(2, 1)] * 5 + [(3, 1)] * 5
 
     def test_uniqueness_scan(self, toy_relator):
@@ -179,7 +173,7 @@ class TestSpecialSelection:
         m = dg.mirror_copy(toy_face)
         sel = dg.special_selection(m, 3)
         fs = sel.per_face["f0"]
-        label = [m.labels[d] for d in fs.darts(m.complex)]
+        label = [m.letter(d) for d in fs.darts(m.complex)]
         assert label == [(3, -1)] * 5 + [(2, -1)] * 5 + [(1, -1)] * 5
 
     def test_no_selection_on_foreign_face(self):

@@ -48,3 +48,21 @@ def test_diff_toy_queries(tmp_path):
         assert "<work>/presentation.json" in record["argv"]
         assert record["code"] in (0, 1)
         assert json.loads(record["stdout"])["outcome"] in ("yes", "no")
+
+
+def test_diff_theorem_diagram_queries(tmp_path):
+    proc = run_script(
+        "diff_toy_queries.py", "--workloads", "theorem-diagram", "--seeds", "1", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 9  # 3 blocks of one query on each of 3 discs at --seconds 20
+    conditions = set()
+    for record in records:
+        assert (record["workload"], record["seed"]) == ("theorem-diagram", 1)
+        assert record["argv"][0] == "check-diagram"
+        assert "<work>/presentation.json" in record["argv"]
+        assert record["code"] == 0
+        assert json.loads(record["stdout"])["validation"]["ok"]
+        conditions.add(record["argv"][-1])
+    assert conditions == {"B", "X", "main-lemma"}
