@@ -446,7 +446,7 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
     darts leaving a vertex whose degree is not 2, then the closed cycles.
     """
     c = m.complex
-    inv, terminus, out_darts = c.inv, c.terminus, c.out_darts
+    inv, origin, terminus, out_darts = c.inv, c.origin, c.terminus, c.out_darts
     seen = bytearray(len(inv))
 
     def walk(dart) -> tuple:
@@ -463,13 +463,10 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
             seen[dart] = seen[inv[dart]] = 1
         return tuple(path)
 
-    keys = list(map(str, c.dart_ids))
-    starts = [dart for out in out_darts if len(out) != 2 for dart in out]
-    arcs = [walk(dart) for dart in sorted(starts, key=keys.__getitem__) if not seen[dart]]
+    order = sorted(range(len(inv)), key=list(map(str, c.dart_ids)).__getitem__)
+    arcs = [walk(dart) for dart in order if not seen[dart] and len(out_darts[origin[dart]]) != 2]
     # the darts left over lie on closed degree-2 cycles
-    for dart in sorted(range(len(inv)), key=keys.__getitem__):
-        if not seen[dart]:
-            arcs.append(walk(dart))
+    arcs += [walk(dart) for dart in order if not seen[dart]]
     return arcs
 
 
