@@ -16,11 +16,20 @@ By default the three toy workloads run: 3340 queries over seeds 1-10.
 `--workloads theorem-diagram` runs the check-diagram queries on the
 39,755-edge theorem-scale disc, 9 a seed at `--seconds 20`; it is not in
 the default set because its set-up writes 22 MB of disc files a seed.
+
+`--workloads length3` is not a benchmark workload: it asks, of each of
+the 186 nonempty reduced words w of length <= 3 on the toy instance,
+`nf w`, `eq w "x2 x1" --witness` under each of the three engines and
+`conj w "x2 x1" --witness`, with the budgets of toy-nf, toy-eq and
+toy-conj: 930 queries, the same for every seed, so they run once and
+their records carry seed null.  It is the one identity check that runs
+the rewriting engine.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import tempfile
@@ -28,37 +37,68 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import freegroup as fg  # noqa: E402
 import workloads as wl  # noqa: E402
 
 TOY = ("toy-nf", "toy-eq", "toy-conj")
+LENGTH3_PARTNER = "x2 x1"
+
+
+def _length3_queries(pres_file: str) -> list:
+    """argv of the length3 set, word by word in length-then-letter order."""
+    budget = {name: wl.WORKLOADS[f"toy-{name}"].budget for name in ("nf", "eq", "conj")}
+    pres = ["--presentation", pres_file]
+    letters = [(i, s) for i in (1, 2, 3) for s in (1, -1)]
+    queries = []
+    for length in (1, 2, 3):
+        for word in itertools.product(letters, repeat=length):
+            if fg.reduce(word) != word:
+                continue
+            w = fg.text(word)
+            queries.append(["nf", w, *pres, *budget["nf"]])
+            for engine in ("diagram", "both", "rewrite"):
+                queries.append(
+                    ["eq", w, LENGTH3_PARTNER, *pres, "--engine", engine, "--witness", *budget["eq"]]
+                )
+            queries.append(["conj", w, LENGTH3_PARTNER, *pres, "--witness", *budget["conj"]])
+    return queries
+
+
+def _plan_queries(name: str, seed: int | None, seconds: float, workdir: str) -> list:
+    if name == "length3":
+        code, out, err = wl.call_cli(wl.load_cli(), ["gen", *wl.TOY, "--count", "1"])
+        if code != 0:
+            raise RuntimeError(f"gen exited {code}: {err.strip()}")
+        pres_file = Path(workdir) / "presentation.json"
+        pres_file.write_text(json.dumps(json.loads(out)["presentation"]))
+        return _length3_queries(str(pres_file))
+    workload = wl.WORKLOADS[name]
+    plan = wl.prepare(workload, seed, seconds, Path(workdir))
+    return [wl.argv_of(workload, plan, query) for block in plan["blocks"] for query in block]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--workloads", nargs="+", choices=[*TOY, "theorem-diagram"], default=list(TOY)
+        "--workloads", nargs="+", choices=[*TOY, "theorem-diagram", "length3"], default=list(TOY)
     )
     parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     cli = wl.load_cli()
     for name in args.workloads:
-        workload = wl.WORKLOADS[name]
-        for seed in args.seeds:
+        for seed in [None] if name == "length3" else args.seeds:
             with tempfile.TemporaryDirectory() as workdir:
-                plan = wl.prepare(workload, seed, args.seconds, Path(workdir))
-                for block in plan["blocks"]:
-                    for query in block:
-                        argv = wl.argv_of(workload, plan, query)
-                        code, out, _ = wl.call_cli(cli, argv)
-                        record = {
-                            "workload": name,
-                            "seed": seed,
-                            "argv": [arg.replace(workdir, "<work>") for arg in argv],
-                            "code": code,
-                            "stdout": out,
-                        }
-                        print(json.dumps(record), flush=True)
+                for argv in _plan_queries(name, seed, args.seconds, workdir):
+                    code, out, _ = wl.call_cli(cli, argv)
+                    record = {
+                        "workload": name,
+                        "seed": seed,
+                        "argv": [arg.replace(workdir, "<work>") for arg in argv],
+                        "code": code,
+                        "stdout": out,
+                    }
+                    print(json.dumps(record), flush=True)
     return 0
 
 

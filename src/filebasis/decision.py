@@ -41,6 +41,7 @@ from .words import (
     least_rotation,
     reduced_variants,
     relator_variants,
+    seam_positions,
 )
 
 if TYPE_CHECKING:
@@ -169,6 +170,8 @@ def _fill_search(
         area, word = heapq.heappop(heap)
         if area > best.get(word, -1):
             continue
+        # seam positions in word; faces with equal end letters share them
+        cancelling: dict[str, list[int]] = {}
         for variant, face in faces:
             child_area = area + len(variant)
             if child_area > area_bound:
@@ -179,8 +182,17 @@ def _fill_search(
                 # whole seam to cancel: a rotation of word reading face^-1
                 j = (word + word).find(invert(face)) if len(face) == len(word) else -1
                 positions = (j,) if j >= 0 else ()
-            else:
+            elif len(word) + len(face) <= budget.max_word_len:
                 positions = range(len(word))
+            else:
+                # a child in which no seam cancels has len(word) + len(face)
+                # letters, too many to keep: visit only the cancelling seams
+                ends = face[:1] + face[-1:]
+                if ends not in cancelling:
+                    cancelling[ends] = seam_positions(word, face, cyclic=True)
+                positions = cancelling[ends]
+                if len(positions) < len(word):
+                    complete = False
             for j in positions:
                 core = cyclic_join(word, j, face)
                 if not core:
@@ -301,7 +313,15 @@ def rewrite_search(presentation: Presentation, u: Word, v: Word, budget: Budget)
         frontiers[side] = []
         for word in frontier:
             for face in faces:
-                for j in range(len(word) + 1):
+                if len(word) + len(face) <= budget.max_word_len:
+                    positions: Sequence[int] = range(len(word) + 1)
+                else:
+                    # as in _fill_search: only a cancelling seam can shorten
+                    # the child enough to keep
+                    positions = seam_positions(word, face, cyclic=False)
+                    if len(positions) < len(word) + 1:
+                        complete = False
+                for j in positions:
                     child = insert(word, j, face)
                     if len(child) > budget.max_word_len:
                         complete = False

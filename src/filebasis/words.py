@@ -100,16 +100,20 @@ def _cancelled(left: str, right: str) -> int:
     return k
 
 
+_FEW_STARTS = 8
+
+
 def least_rotation(code: str) -> str:
     """Least rotation of any code string, in linear time.
 
     The least rotation starts at the first letter of a maximal run of the
-    least letter, so only such starts compete.  Two candidates are
-    compared by their common prefix; the loser and the k letters after it
-    that matched the winner's are dropped at once, since each of their
-    rotations exceeds the winner's shifted by the same amount (the
-    two-pointer skip of Shiloach, "Fast canonization of circular strings",
-    J. Algorithms 2, 1981).
+    least letter, so only such starts compete.  When there are at most
+    `_FEW_STARTS` of them, their rotations are compared whole.  Otherwise
+    two candidates are compared by their common prefix; the loser and the
+    k letters after it that matched the winner's are dropped at once,
+    since each of their rotations exceeds the winner's shifted by the same
+    amount (the two-pointer skip of Shiloach, "Fast canonization of
+    circular strings", J. Algorithms 2, 1981).
     """
     if not code:
         return code
@@ -121,6 +125,14 @@ def least_rotation(code: str) -> str:
     # from a letter other than the least one, no run of it wraps around
     text = code[first_other:] + code[:first_other]
     doubled = text + text
+    # few run starts: compare their rotations whole, in O(_FEW_STARTS * n)
+    starts: list[int] = []
+    i = text.find(least)
+    while i != -1 and len(starts) <= _FEW_STARTS:
+        starts.append(i)
+        i = text.find(least, n - len(text[i:].lstrip(least)))
+    if len(starts) <= _FEW_STARTS:
+        return min(doubled[i : i + n] for i in starts)
     i = text.find(least)
     j = text.find(least, i + 1)
     while j != -1:
@@ -152,6 +164,33 @@ def least_rotation(code: str) -> str:
             if i == -1:
                 i, j = j, -1
     return doubled[i : i + n]
+
+
+def seam_positions(word: str, variant: str, *, cyclic: bool) -> list[int]:
+    """Positions j, in increasing order, at which inserting the freely
+    reduced variant into the reduced word cancels a letter at a seam.
+
+    Such a j has word[j-1] inverse to variant[0] or word[j] inverse to
+    variant[-1], so only those two letters of variant matter.  Linear
+    positions (`insert`) run over 0..len(word); cyclic ones (`cyclic_join`,
+    on a cyclically reduced word) over 0..len(word)-1, with word[-1]
+    before position 0.  At every other position nothing cancels and the
+    result has len(word) + len(variant) letters.
+    """
+    n = len(word)
+    found = set()
+    for letter, shift in ((variant[:1], 1), (variant[-1:], 0)):
+        if not letter:
+            break  # an empty variant has no seam letters
+        inverse = chr(ord(letter) ^ 1)
+        i = word.find(inverse)
+        while i != -1:
+            found.add(i + shift)
+            i = word.find(inverse, i + 1)
+    if cyclic and n in found:
+        found.remove(n)
+        found.add(0)
+    return sorted(found)
 
 
 def insert(word: str, j: int, variant: str) -> str:
@@ -250,8 +289,21 @@ class Word:
 
     @staticmethod
     def from_runs(runs: Sequence[tuple[int, int]]) -> "Word":
-        """Build a word from arbitrary runs, merging and cancelling as needed."""
-        return Word.from_code(encode(runs))
+        """Build a word from arbitrary runs, merging and cancelling as needed.
+
+        Runs are merged on a stack by adding exponents, so no run is
+        expanded into letters: a zero exponent is dropped, and a run that
+        cancels to zero is popped, which lets its neighbours meet.
+        """
+        stack: list[tuple[int, int]] = []
+        for index, exp in runs:
+            if index < 1:
+                raise MalformedWordError(f"letter index {index} out of range")
+            if stack and stack[-1][0] == index:
+                exp += stack.pop()[1]
+            if exp:
+                stack.append((index, exp))
+        return Word(tuple(stack))
 
     # -- basic queries ---------------------------------------------------
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -576,6 +577,79 @@ class TestFillSearchPruning:
             pruned = dec._fill_search(faces, start, len(variant), Budget())
             assert pruned.found
             assert pruned == _unpruned_fill_search(faces, start, len(variant), Budget())
+
+
+def _unfiltered_rewrite_search(faces, u, v, budget):
+    """Reference rewriting search that builds the child at every position
+    and only then tests it against max_word_len."""
+    start_u, start_v = u.code(), v.code()
+    if start_u == start_v:
+        return dec.Outcome(YES, witness=dec.RewriteWitness(start_u, (start_u,), (start_v,)))
+    sides = [{start_u: None}, {start_v: None}]
+    frontiers = [[start_u], [start_v]]
+    complete = True
+
+    def chain(side, word):
+        steps = []
+        while word is not None:
+            steps.append(word)
+            word = sides[side][word]
+        return tuple(reversed(steps))
+
+    while frontiers[0] or frontiers[1]:
+        side = 0 if frontiers[0] and (not frontiers[1] or len(sides[0]) <= len(sides[1])) else 1
+        frontier, frontiers[side] = frontiers[side], []
+        for word in frontier:
+            for _, face in faces:
+                for j in range(len(word) + 1):
+                    child = words.insert(word, j, face)
+                    if len(child) > budget.max_word_len:
+                        complete = False
+                        continue
+                    if child in sides[side]:
+                        continue
+                    if len(sides[0]) + len(sides[1]) >= budget.max_states:
+                        return dec.Outcome(EXCEEDED)
+                    sides[side][child] = word
+                    frontiers[side].append(child)
+                    if child in sides[1 - side]:
+                        witness = dec.RewriteWitness(child, chain(0, child), chain(1, child))
+                        return dec.Outcome(YES, witness=witness)
+    return dec.Outcome(NO if complete else EXCEEDED)
+
+
+@st.composite
+def _rewrite_cases(draw):
+    faces = FACE_SETS[draw(st.sampled_from(sorted(FACE_SETS)))]
+
+    def short_word():
+        return "".join(chr(c) for c in draw(st.lists(st.integers(0, 5), max_size=6)))
+
+    v = words.free_reduce(short_word())
+    # u is often v with one face inserted, so that the two sides can meet
+    if draw(st.booleans()):
+        _, face = draw(st.sampled_from(faces))
+        j = draw(st.integers(0, len(v)))
+        u = words.insert(v, j, face)
+    else:
+        u = words.free_reduce(short_word())
+    # small max_word_len often closes both sides, where complete decides
+    max_len = draw(st.integers(1, 6) | st.integers(1, 24))
+    budget = Budget(max_word_len=max_len, max_states=draw(st.integers(1, 60)))
+    return faces, Word.from_code(u), Word.from_code(v), budget
+
+
+class TestRewriteSeams:
+    @settings(max_examples=200, deadline=None)
+    @given(_rewrite_cases())
+    # no seam cancels and every child is too long: both sides close, and
+    # only the skipped children make the search incomplete
+    @example((_faces("x1^2"), w("x2"), w("x3"), Budget(max_word_len=2, max_states=60)))
+    def test_agrees_with_unfiltered_search(self, case):
+        faces, u, v, budget = case
+        # the faces are the one part of a presentation that rewrite_search reads
+        filtered = rewrite_search(SimpleNamespace(faces=faces), u, v, budget)
+        assert filtered == _unfiltered_rewrite_search(faces, u, v, budget)
 
 
 def _counting(monkeypatch, name):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,3 +67,28 @@ def test_diff_theorem_diagram_queries(tmp_path):
         assert json.loads(record["stdout"])["validation"]["ok"]
         conditions.add(record["argv"][-1])
     assert conditions == {"B", "X", "main-lemma"}
+
+
+def test_diff_length3_queries(tmp_path):
+    proc = run_script("diff_toy_queries.py", "--workloads", "length3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 930  # 5 queries on each of the 186 words of length 1-3
+    words = {record["argv"][1] for record in records}
+    assert len(words) == 186
+    kinds = Counter()
+    for record in records:
+        assert (record["workload"], record["seed"]) == ("length3", None)
+        assert "<work>/presentation.json" in record["argv"]
+        assert record["code"] in (0, 1, 2)
+        argv = record["argv"]
+        if argv[0] != "nf":
+            assert argv[2] == "x2 x1"
+        kinds[argv[0], argv[argv.index("--engine") + 1] if "--engine" in argv else None] += 1
+    assert kinds == {
+        ("nf", None): 186,
+        ("eq", "diagram"): 186,
+        ("eq", "both"): 186,
+        ("eq", "rewrite"): 186,
+        ("conj", None): 186,
+    }

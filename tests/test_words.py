@@ -8,6 +8,7 @@ from filebasis.words import (
     MalformedWordError,
     Word,
     cyclic_insert,
+    cyclic_join,
     cyclic_reduce,
     deglex_compare,
     deglex_key,
@@ -25,6 +26,7 @@ from filebasis.words import (
     rank_letter,
     reduce_letters,
     reduced_variants,
+    seam_positions,
 )
 
 letters = st.tuples(st.integers(1, 4), st.sampled_from([1, -1]))
@@ -96,13 +98,31 @@ def naive_cyclic_reduce(seq):
 
 
 @st.composite
-def near_powers(draw):
-    """Code strings u^k, or u^k with one letter changed or added."""
-    code = encode(draw(st.lists(letters, min_size=1, max_size=5))) * draw(st.integers(1, 12))
+def near_powers(draw, min_len=1, max_repeats=12):
+    """Code strings u^k with at least min_len letters, or u^k with one
+    letter changed or added."""
+    unit = encode(draw(st.lists(letters, min_size=1, max_size=5)))
+    least_repeats = -(-min_len // len(unit))
+    code = unit * draw(st.integers(least_repeats, max(least_repeats, max_repeats)))
     if draw(st.booleans()):
         at = draw(st.integers(0, len(code)))
         code = code[:at] + chr(draw(st.integers(0, 7))) + code[at + draw(st.integers(0, 1)) :]
     return code
+
+
+@st.composite
+def many_run_starts(draw):
+    """Code strings with 9 to 40 maximal runs of the least letter (code 0),
+    made of a few repeated pieces, so that many rotations tie for long."""
+    pieces = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.lists(st.integers(1, 7), min_size=1, max_size=3)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    pieces = ["\x00" * run + "".join(map(chr, rest)) for run, rest in pieces]
+    return "".join(draw(st.lists(st.sampled_from(pieces), min_size=9, max_size=40)))
 
 
 class TestKernel:
@@ -121,7 +141,13 @@ class TestKernel:
         st.lists(st.sampled_from([(1, 1), (1, -1), (2, 1)]), max_size=12).map(encode)
         | letter_lists.map(encode)
         | near_powers()
+        # more than 8 competing run starts, and more than 64 letters: the
+        # two-pointer path of least_rotation
+        | many_run_starts()
+        | near_powers(min_len=65, max_repeats=40)
+        | st.lists(letters, min_size=65, max_size=200).map(encode)
     )
+    @settings(max_examples=300)
     def test_least_rotation_is_min_rotation(self, code):
         rotations = [code[k:] + code[:k] for k in range(len(code))]
         assert least_rotation(code) == min(rotations, default="")
@@ -138,6 +164,18 @@ class TestKernel:
         word, variant = free_reduce(encode(raw)), free_reduce(encode(raw_variant))
         j = data.draw(st.integers(0, len(word)))
         assert insert(word, j, variant) == free_reduce(word[:j] + variant + word[j:])
+
+    @given(letter_lists, letter_lists)
+    def test_seam_positions_are_where_insertion_shortens(self, raw, raw_variant):
+        variant = free_reduce(encode(raw_variant))
+        word = free_reduce(encode(raw))
+        full = len(word) + len(variant)
+        linear = [j for j in range(len(word) + 1) if len(insert(word, j, variant)) < full]
+        assert seam_positions(word, variant, cyclic=False) == linear
+        word = cyclic_reduce(word)[0]
+        full = len(word) + len(variant)
+        cyclic = [j for j in range(len(word)) if len(cyclic_join(word, j, variant)) < full]
+        assert seam_positions(word, variant, cyclic=True) == cyclic
 
     @given(letter_lists, letter_lists, st.lists(letters, max_size=3), st.data())
     def test_cyclic_insert_is_canonical_cyclic_reduction(self, raw, raw_relator, outer, data):
@@ -160,6 +198,18 @@ class TestKernel:
     @given(letters)
     def test_inverse_letter_code(self, letter):
         assert encode([inverse_letter(letter)]) == chr(ord(encode([letter])) ^ 1)
+
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=12))
+    def test_from_runs_is_free_reduction_of_runs(self, runs):
+        # zero exponents, repeated and cancelling indices: merged on a stack
+        assert Word.from_runs(runs) == Word.from_code(encode(runs))
+
+    def test_from_runs_never_expands_exponents(self):
+        big = 10**12
+        assert Word.from_runs([(1, big), (2, 1), (2, -1), (1, 1 - big)]) == Word(((1, 1),))
+        assert parse_word(f"x2 x1^{big} x1^-{big} x2^-1 x3") == Word(((3, 1),))
+        with pytest.raises(MalformedWordError):
+            Word.from_runs([(1, big), (0, 0)])
 
     @given(letter_lists)
     def test_code_round_trip(self, raw):
