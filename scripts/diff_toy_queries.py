@@ -24,6 +24,11 @@ the 186 nonempty reduced words w of length <= 3 on the toy instance,
 toy-conj: 930 queries, the same for every seed, so they run once and
 their records carry seed null.  It is the one identity check that runs
 the rewriting engine.
+
+`--workloads enum` is not a benchmark workload either: it runs every
+consumer of the deg-lex enumeration, `enum-words --count 3000` for
+n = 1, 2, 3 and 63, toy `gen --count 1`, toy `gen --count 2` under small
+budgets, and theorem-scale `gen --count 1`: 7 queries, seed null.
 """
 
 from __future__ import annotations
@@ -41,7 +46,14 @@ import freegroup as fg  # noqa: E402
 import workloads as wl  # noqa: E402
 
 TOY = ("toy-nf", "toy-eq", "toy-conj")
+UNSEEDED = ("length3", "enum")
 LENGTH3_PARTNER = "x2 x1"
+ENUM_QUERIES = [
+    *(["enum-words", "--n", str(n), "--count", "3000"] for n in (1, 2, 3, 63)),
+    ["gen", *wl.TOY, "--count", "1"],
+    ["gen", *wl.TOY, "--count", "2", "--max-edges", "40", "--max-len", "25", "--max-states", "50"],
+    ["gen", *wl.THEOREM, "--count", "1"],
+]
 
 
 def _length3_queries(pres_file: str) -> list:
@@ -65,6 +77,8 @@ def _length3_queries(pres_file: str) -> list:
 
 
 def _plan_queries(name: str, seed: int | None, seconds: float, workdir: str) -> list:
+    if name == "enum":
+        return ENUM_QUERIES
     if name == "length3":
         code, out, err = wl.call_cli(wl.load_cli(), ["gen", *wl.TOY, "--count", "1"])
         if code != 0:
@@ -80,14 +94,14 @@ def _plan_queries(name: str, seed: int | None, seconds: float, workdir: str) -> 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--workloads", nargs="+", choices=[*TOY, "theorem-diagram", "length3"], default=list(TOY)
+        "--workloads", nargs="+", choices=[*TOY, "theorem-diagram", *UNSEEDED], default=list(TOY)
     )
     parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     cli = wl.load_cli()
     for name in args.workloads:
-        for seed in [None] if name == "length3" else args.seeds:
+        for seed in [None] if name in UNSEEDED else args.seeds:
             with tempfile.TemporaryDirectory() as workdir:
                 for argv in _plan_queries(name, seed, args.seconds, workdir):
                     code, out, _ = wl.call_cli(cli, argv)

@@ -181,9 +181,7 @@ def cmd_check_diagram(args) -> int:
         params = pres.params
         sel = diagram.special_selection(d, params.n)
         if args.condition == "B":
-            lambda1 = _parse_fraction(args.lambda1) if args.lambda1 else params.lambda1
-            lambda2 = _parse_fraction(args.lambda2) if args.lambda2 else params.lambda2
-            reports = diagram.check_condition_B(d, sel, lambda1, lambda2)
+            reports = diagram.check_condition_B(d, sel, params.lambda1, params.lambda2)
             result["condition_B"] = [asdict(r) for r in reports]
             if not all(r.b0 and r.b1 and r.b2 for r in reports):
                 status = EX_NO
@@ -222,6 +220,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-edges", type=_positive_int, default=10**6)
     p.add_argument("--max-len", type=_positive_int, default=200)
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="run the inductive relator construction")
     _add_params_flags(p)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_nonnegative_int, default=1)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_gen)
 
@@ -280,13 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram")
     p.add_argument("--presentation", required=True)
     p.add_argument("--condition", choices=["B", "X", "main-lemma"])
-    p.add_argument("--lambda1")
-    p.add_argument("--lambda2")
     p.set_defaults(func=cmd_check_diagram)
 
     p = sub.add_parser("enum-words", help="stream reduced words in deg-lex order")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_nonnegative_int, default=20)
     p.set_defaults(func=cmd_enum_words)
 
     return parser

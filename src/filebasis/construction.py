@@ -174,14 +174,13 @@ def regular_head(n: int, m: int) -> Word:
     return Word(tuple((j, m) for j in range(1, n + 1)))
 
 
-def build_relator(p: ConstructionParams, i: int, w: Word, strict: bool = False) -> Relator:
+def build_relator(p: ConstructionParams, i: int, w: Word) -> Relator:
     """Assemble relator i from its word w; m = N|w| + i.
 
-    Structural identities are always asserted.  Shape and growth
-    constraints on w are reported: with strict=True a violation raises,
-    otherwise it is recorded by check_relator callers.  The non-strict
-    default exists because toy parameter sets can violate the growth
-    inequality while remaining useful test fixtures.
+    Structural identities are asserted.  Shape and growth constraints on w
+    are not: `check_relator` names their violations, since toy parameter
+    sets can violate the growth inequality while remaining useful test
+    fixtures.
     """
     if i < 1:
         raise ConstructionError(f"relator index must be positive, got {i}")
@@ -192,10 +191,6 @@ def build_relator(p: ConstructionParams, i: int, w: Word, strict: bool = False) 
     rel = Relator(i=i, w=w, m=m, r=r)
     if len(r) != p.n * m + len(w):
         raise ConstructionError("relator length does not match n*m + |w|")
-    if strict:
-        problems = check_relator(p, rel)
-        if problems:
-            raise ConstructionError("; ".join(problems))
     return rel
 
 

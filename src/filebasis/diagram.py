@@ -29,7 +29,7 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .words import Letter, Word, encode, invert, parse_letter, relator_variants
+from .words import Word, encode, invert, parse_letter, relator_variants
 
 
 class DiagramError(ValueError):
@@ -116,16 +116,9 @@ class Diagram:
     def complex(self) -> Complex2:
         return self.map.complex
 
-    def letter(self, dart) -> Letter:
-        code = ord(self.labels[dart])
-        return (code // 2 + 1, 1 if code & 1 else -1)
-
     def face_code(self, face_id) -> str:
         """The face label as a code string."""
         return "".join(map(self.labels.__getitem__, self.complex.faces[face_id]))
-
-    def face_label(self, face_id) -> tuple[Letter, ...]:
-        return tuple(map(self.letter, self.complex.faces[face_id]))
 
 
 @dataclass(frozen=True)
@@ -356,15 +349,13 @@ def _find_special_subpath(label: str, n: int) -> Optional[tuple[int, int]]:
     return best
 
 
-def special_selection(d: Diagram, n: int, min_fraction: Fraction | None = None) -> Selection:
+def special_selection(d: Diagram, n: int) -> Selection:
     """The per-face designated subpath reading x_1^m...x_n^m (or its mirror).
 
     Each face must carry exactly one qualifying subpath s with
-    |s| > n/(2n-2) * |boundary| (the defining bound; callers at full
-    parameter scale may pass a stronger min_fraction such as 1 - lambda1).
+    |s| > n/(2n-2) * |boundary|, or |s| > |boundary|/2 when n = 1.
     """
-    if min_fraction is None:
-        min_fraction = Fraction(n, 2 * n - 2) if n > 1 else Fraction(1, 2)
+    min_fraction = Fraction(n, 2 * n - 2) if n > 1 else Fraction(1, 2)
     per_face = {}
     for fid in d.complex.faces:
         label = d.face_code(fid)
@@ -781,7 +772,7 @@ def diagram_from_dict(data: dict, n: int | None = None) -> Diagram:
             tuple(map(itemgetter(key), darts)) for key in ("id", "inv", "from", "to", "label")
         )
         # each distinct label text is parsed once, in order of appearance
-        codes = {text: encode([parse_letter(text, n)]) for text in dict.fromkeys(texts)}
+        codes = {text: parse_letter(text, n) for text in dict.fromkeys(texts)}
         d = _diagram(
             data["vertices"],
             ids,
@@ -814,38 +805,38 @@ def load_diagram(path: str, n: int | None = None) -> Diagram:
 
 
 def _path(
-    letters: Sequence[Letter], stops: Sequence, name: Callable[[int], str]
+    code: str, stops: Sequence, name: Callable[[int], str]
 ) -> tuple[list, list, list, str]:
-    """The darts of a path reading `letters`: letter j runs from stops[j]
-    to stops[j + 1] on dart name(j) + "+", followed by its inverse
-    name(j) + "-".  Returns their ids, inverse ids, origins and labels, as
-    `_diagram` takes them."""
+    """The darts of a path reading the code string `code`: letter j runs
+    from stops[j] to stops[j + 1] on dart name(j) + "+", followed by its
+    inverse name(j) + "-".  Returns their ids, inverse ids, origins and
+    labels, as `_diagram` takes them."""
     darts, invs, froms = [], [], []
-    for j in range(len(letters)):
+    for j in range(len(code)):
         stem = name(j)
         darts += (stem + "+", stem + "-")
         invs += (stem + "-", stem + "+")
         froms += (stops[j], stops[j + 1])
-    labels = "".join(code + chr(ord(code) ^ 1) for code in encode(letters))
+    labels = "".join(c + chr(ord(c) ^ 1) for c in code)
     return darts, invs, froms, labels
 
 
 def polygon_diagram(word: Word, face_id: str = "f0") -> Diagram:
     """One-face disc: a polygon reading `word` around the face, with the
     contour being the inverse cycle."""
-    letters = word.letter_tuple()
-    if not letters:
+    code = word.code()
+    if not code:
         raise DiagramError("cannot build a polygon on the empty word")
-    stops = [f"v{j}" for j in range(len(letters))]
-    darts, invs, froms, labels = _path(letters, stops + stops[:1], lambda j: f"d{j}")
+    stops = [f"v{j}" for j in range(len(code))]
+    darts, invs, froms, labels = _path(code, stops + stops[:1], lambda j: f"d{j}")
     return _diagram(stops, darts, invs, froms, labels, [(face_id, darts[::2])], [darts[::-2]])
 
 
 def degenerate_path_diagram(word: Word) -> Diagram:
     """Face-free disc whose single contour reads word * word^-1."""
-    letters = word.letter_tuple()
-    stops = [f"v{j}" for j in range(len(letters) + 1)]
-    darts, invs, froms, labels = _path(letters, stops, lambda j: f"d{j}")
+    code = word.code()
+    stops = [f"v{j}" for j in range(len(code) + 1)]
+    darts, invs, froms, labels = _path(code, stops, lambda j: f"d{j}")
     contour = darts[::2] + darts[::-2]
     return _diagram(stops, darts, invs, froms, labels, [], [contour] if contour else [])
 
@@ -870,8 +861,8 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
     """
     if not d.map.is_disc:
         raise DiagramError("gluing expects a disc diagram")
-    letters = word.letter_tuple()
-    k = len(letters)
+    code = word.code()
+    k = len(code)
     if not 0 < overlap < k:
         raise DiagramError("overlap must be a proper nonempty boundary segment")
     contour = d.map.contours[0]
@@ -881,10 +872,10 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
 
     shared = contour[:overlap]
     for j, dart in enumerate(shared):
-        if d.letter(dart) != letters[j]:
+        if d.labels[dart] != code[j]:
             raise DiagramError(
                 f"overlap letter {j} mismatch: contour side reads "
-                f"{d.letter(dart)}, new face needs {letters[j]}"
+                f"{Word.from_code(d.labels[dart])}, new face needs {Word.from_code(code[j])}"
             )
 
     # the fresh part of the face runs from the end of the shared segment
@@ -893,7 +884,7 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
     fresh_vertices = tuple(f"{face_id}_v{j}" for j in range(k - overlap - 1))
     stops = [vertices[c.terminus[shared[-1]]], *fresh_vertices, vertices[c.origin[shared[0]]]]
     darts, invs, froms, labels = _path(
-        letters[overlap:], stops, lambda j: f"{face_id}_d{j + overlap}"
+        code[overlap:], stops, lambda j: f"{face_id}_d{j + overlap}"
     )
 
     def named(path) -> list:

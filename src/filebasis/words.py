@@ -7,11 +7,12 @@ which matters because the group construction produces exponents in the
 hundreds even for its smallest instances.
 
 The algorithms on words (free and cyclic reduction, least rotation,
-relator insertion) run on one letter encoding: the letter x_i^s is the
-code point ``2*(i-1) + (s > 0)`` and a word is the `str` of its letters.
-The inverse of code c is ``c ^ 1``, and string order agrees with the
-order of ``(index, sign)`` tuples.  A `str` puts no cap on the alphabet
-and stores code points below 256 in one byte each.
+relator insertion, deg-lex enumeration) run on one letter encoding: the
+letter x_i^s is the code point ``2*(i-1) + (s > 0)`` and a word is the
+`str` of its letters.  The inverse of code c is ``c ^ 1``, and the deg-lex
+letter order x_1 < x_1^-1 < x_2 < ... < x_n^-1 is that of ``c ^ 1``.  A
+`str` puts no cap on the alphabet and stores code points below 256 in one
+byte each.
 
 Reduction and least rotation take any code string.  The insertion steps
 (`insert`, `cyclic_join`, `cyclic_insert`) take reduced inputs, so that
@@ -28,24 +29,6 @@ from typing import Iterable, Iterator, Sequence
 
 class MalformedWordError(ValueError):
     """A letter index is outside the alphabet, or word text does not parse."""
-
-
-# A group letter: (basic letter index, sign), sign in {+1, -1}.
-Letter = tuple[int, int]
-
-
-def inverse_letter(letter: Letter) -> Letter:
-    return (letter[0], -letter[1])
-
-
-def letter_rank(letter: Letter) -> int:
-    """Position of a group letter in the order x_1 < x_1^-1 < x_2 < ... < x_n^-1."""
-    index, sign = letter
-    return 2 * (index - 1) + (0 if sign > 0 else 1)
-
-
-def rank_letter(rank: int) -> Letter:
-    return (rank // 2 + 1, 1 if rank % 2 == 0 else -1)
 
 
 # -- the word kernel -----------------------------------------------------
@@ -283,11 +266,6 @@ class Word:
         return Word(tuple(runs))
 
     @staticmethod
-    def from_letters(letters: Sequence[Letter]) -> "Word":
-        """Freely reduce a letter sequence into run-normal form."""
-        return Word.from_code(encode(letters))
-
-    @staticmethod
     def from_runs(runs: Sequence[tuple[int, int]]) -> "Word":
         """Build a word from arbitrary runs, merging and cancelling as needed.
 
@@ -312,15 +290,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self.runs)
-
-    def letters(self) -> Iterator[Letter]:
-        for index, exp in self.runs:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield (index, sign)
-
-    def letter_tuple(self) -> tuple[Letter, ...]:
-        return tuple(self.letters())
 
     def code(self) -> str:
         return encode(self.runs)
@@ -393,90 +362,55 @@ def parse_word(text: str, n: int | None = None) -> Word:
     return Word.from_runs(runs)
 
 
-def parse_letter(text: str, n: int | None = None) -> Letter:
-    """Parse a single letter, `x<i>` or `x<i>^-1`, of the word grammar."""
+def parse_letter(text: str, n: int | None = None) -> str:
+    """Code of a single letter, `x<i>` or `x<i>^-1`, of the word grammar."""
     m = _TOKEN.match(text)
     if m is None or m.group(2) not in (None, "-1"):
         raise MalformedWordError(f"bad letter {text!r}")
-    return next(parse_word(text, n).letters())
-
-
-def reduce_letters(raw: Sequence[Letter], n: int) -> Word:
-    """Free reduction of a raw letter sequence over an n-letter alphabet."""
-    for index, sign in raw:
-        if not 1 <= index <= n:
-            raise MalformedWordError(f"letter index {index} out of 1..{n}")
-        if sign not in (1, -1):
-            raise MalformedWordError(f"letter sign {sign} must be +1 or -1")
-    return Word.from_letters(raw)
+    return parse_word(text, n).code()
 
 
 # -- deg-lex order -------------------------------------------------------
 
 
-def deglex_key(w: Word) -> tuple[int, tuple[int, ...]]:
-    return (len(w), tuple(letter_rank(l) for l in w.letters()))
+def deglex_successor(code: str, n: int) -> str:
+    """Least reduced code string over x_1..x_n strictly after the reduced
+    code string `code` in deg-lex order: by length, then letter by letter
+    in the order of ``ord(c) ^ 1``."""
+    for i in reversed(range(len(code))):
+        cancelling = ord(code[i - 1]) ^ 1 if i else -1
+        for key in range((ord(code[i]) ^ 1) + 1, 2 * n):
+            c = key ^ 1
+            if c != cancelling:
+                # the least letter after c is x_1, or x_1^-1 after x_1^-1
+                return code[:i] + chr(c) + ("\x00" if c == 0 else "\x01") * (len(code) - i - 1)
+    # code is the last word of its length; the next is x_1^(length+1)
+    return "\x01" * (len(code) + 1)
 
 
-def deglex_compare(u: Word, v: Word) -> int:
-    """-1, 0 or 1: compare by length first, then letter-by-letter."""
-    ku, kv = deglex_key(u), deglex_key(v)
-    return (ku > kv) - (ku < kv)
-
-
-def _min_allowed_rank(prev_rank: int | None) -> int:
-    if prev_rank is None:
-        return 0
-    forbidden = prev_rank ^ 1  # rank of the inverse letter
-    return 1 if forbidden == 0 else 0
-
-
-def deglex_successor(w: Word, n: int) -> Word:
-    """Least reduced word strictly greater than w in deg-lex."""
-    if w.max_index() > n:
-        raise MalformedWordError("letter index exceeds alphabet size")
-    ranks = [letter_rank(l) for l in w.letters()]
-    length = len(ranks)
-    for i in reversed(range(length)):
-        prev = ranks[i - 1] if i > 0 else None
-        for r in range(ranks[i] + 1, 2 * n):
-            if prev is not None and r == (prev ^ 1):
-                continue
-            new = ranks[:i] + [r]
-            while len(new) < length:
-                new.append(_min_allowed_rank(new[-1]))
-            return Word.from_letters([rank_letter(r_) for r_ in new])
-    # w is the largest word of its length; next is x_1^(length+1)
-    return Word(((1, length + 1),))
-
-
-def iter_reduced_words(n: int, start: Word = EMPTY) -> Iterator[Word]:
-    """All reduced words in deg-lex order, starting from `start` (inclusive)."""
-    w = start
+def iter_reduced_words(n: int) -> Iterator[Word]:
+    """All reduced words over x_1..x_n in deg-lex order, from the empty word."""
+    code = ""
     while True:
-        yield w
-        w = deglex_successor(w, n)
+        yield Word.from_code(code)
+        code = deglex_successor(code, n)
 
 
-def _regular_rank_runs(n: int, start_rank: int, remaining: int) -> Iterator[list[tuple[int, int]]]:
-    # Yields run lists [(rank, count), ...] in lex order of the flattened sequence.
+def _regular_runs(n: int, first: int, remaining: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    # runs (index, exponent) over x_first..x_n of the regular words with
+    # `remaining` letters, in deg-lex order
     if remaining == 0:
-        yield []
+        yield ()
         return
-    for r in range(start_rank, 2 * n):
-        next_start = (r // 2 + 1) * 2  # next run must use a strictly larger index
-        for c in range(remaining, 0, -1):
-            for tail in _regular_rank_runs(n, next_start, remaining - c):
-                yield [(r, c)] + tail
+    for index in range(first, n + 1):
+        for sign in (1, -1):
+            for count in range(remaining, 0, -1):
+                for tail in _regular_runs(n, index + 1, remaining - count):
+                    yield ((index, sign * count),) + tail
 
 
 def iter_regular_words(n: int, max_length: int) -> Iterator[Word]:
     """Regular words x_1^{k_1}...x_n^{k_n} in deg-lex order, lengths 0..max_length."""
-    yield EMPTY
-    for length in range(1, max_length + 1):
-        for rank_runs in _regular_rank_runs(n, 0, length):
-            runs = []
-            for rank, count in rank_runs:
-                index, sign = rank_letter(rank)
-                runs.append((index, sign * count))
-            yield Word(tuple(runs))
+    for length in range(max_length + 1):
+        for runs in _regular_runs(n, 1, length):
+            yield Word(runs)

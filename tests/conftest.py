@@ -5,6 +5,12 @@ import pytest
 
 from filebasis.construction import ConstructionParams, generate
 from filebasis.decision import Budget
+from filebasis.words import Word, encode
+
+
+def word_of(raw):
+    """The reduced word of (index, sign) letters or (index, exponent) runs."""
+    return Word.from_code(encode(raw))
 
 
 @pytest.fixture(scope="session")

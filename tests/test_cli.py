@@ -229,7 +229,11 @@ class TestTrustBoundary:
             ]
             for flag in ("--max-len", "--max-states", "--max-edges")
         ]
-        + [["enum-words", "--n", "0"], ["enum-words", "--n", "-2"], ["eq", "x1", "x2", "--max-len", "-1"]],
+        + [["enum-words", "--n", "0"], ["enum-words", "--n", "-2"], ["eq", "x1", "x2", "--max-len", "-1"]]
+        + [
+            ["gen", "--n", "3", "--lambda1", "1/15", "--N", "2", "--count", "-3"],
+            ["enum-words", "--n", "3", "--count", "-1"],
+        ],
         ids=lambda argv: " ".join(argv),
     )
     def test_non_positive_ints_are_usage_errors(self, run, pres_file, argv):

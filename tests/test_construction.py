@@ -111,13 +111,13 @@ class TestBuildRelator:
         core, _ = rel.r.cyclically_reduce()
         assert core == rel.r
 
-    def test_strict_mode_names_violation(self, toy_params):
-        # the toy parameters violate the growth inequality; strict mode reports it
-        with pytest.raises(ConstructionError, match="growth inequality"):
-            build_relator(toy_params, 1, parse_word("x2 x1", 3), strict=True)
+    def test_check_relator_names_violation(self, toy_params):
+        # the toy parameters violate the growth inequality, and only it
+        rel = build_relator(toy_params, 1, parse_word("x2 x1", 3))
+        assert check_relator(toy_params, rel) == ["growth inequality l1*(n*m + |w|) >= |w| fails"]
 
-    def test_strict_mode_clean_at_theorem_scale(self, theorem_params):
-        rel = build_relator(theorem_params, 1, parse_word("x2 x1", 63), strict=True)
+    def test_check_relator_clean_at_theorem_scale(self, theorem_params):
+        rel = build_relator(theorem_params, 1, parse_word("x2 x1", 63))
         assert check_relator(theorem_params, rel) == []
 
     def test_bad_alphabet(self, toy_params):
@@ -142,10 +142,9 @@ class TestNextW:
 
         expected = None
         for w in iter_reduced_words(3):
-            letters = w.letter_tuple()
-            if not letters:
+            if not w:
                 continue
-            if letters[0][0] == 1 or letters[-1][0] == 3 or w.is_regular():
+            if w.runs[0][0] == 1 or w.runs[-1][0] == 3 or w.is_regular():
                 continue
             expected = w
             break

@@ -6,6 +6,7 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from conftest import word_of
 from hypothesis import example, given, settings, strategies as st
 
 from filebasis import construction, words
@@ -49,9 +50,7 @@ def w(text, n=3):
 
 def random_word(rng, n=3, max_len=8):
     length = rng.randrange(0, max_len + 1)
-    return Word.from_letters(
-        [(rng.randrange(1, n + 1), rng.choice((1, -1))) for _ in range(length)]
-    )
+    return word_of([(rng.randrange(1, n + 1), rng.choice((1, -1))) for _ in range(length)])
 
 
 # ---------------------------------------------------------------------------
@@ -59,29 +58,29 @@ def random_word(rng, n=3, max_len=8):
 # relator insertion, computed by plain BFS with its own small code path)
 
 
-def _oracle_reduce(seq):
+def _oracle_reduce(code):
     out = []
-    for index, sign in seq:
-        if out and out[-1] == (index, -sign):
+    for c in code:
+        if out and ord(out[-1]) ^ ord(c) == 1:
             out.pop()
         else:
-            out.append((index, sign))
-    return tuple(out)
+            out.append(c)
+    return "".join(out)
 
 
 class CayleyBallOracle:
     def __init__(self, relators, radius):
         self.variants = set()
         for r in relators:
-            for base in (r.letter_tuple(), r.inverse().letter_tuple()):
+            for base in (r.code(), r.inverse().code()):
                 self.variants.update(base[k:] + base[:k] for k in range(len(base)))
         self.radius = radius
 
     def equal(self, u, v):
         """True/False when the closure from u within the ball settles it,
         None when the ball boundary was reached (indeterminate)."""
-        start = u.letter_tuple()
-        target = v.letter_tuple()
+        start = u.code()
+        target = v.code()
         if max(len(start), len(target)) > self.radius:
             return None
         seen = {start}
@@ -331,9 +330,9 @@ class TestConjugacy:
             u = random_word(rng, max_len=5)
             if not u:
                 continue
-            letters = u.letter_tuple()
-            k = rng.randrange(len(letters))
-            shifted = Word.from_letters(letters[k:] + letters[:k])
+            code = u.code()
+            k = rng.randrange(len(code))
+            shifted = Word.from_code(code[k:] + code[:k])
             out = are_conjugate(toy_presentation, u, shifted, budget)
             assert out.is_yes
 

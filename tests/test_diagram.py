@@ -8,7 +8,7 @@ import pytest
 
 from filebasis import diagram as dg
 from filebasis.construction import build_relator
-from filebasis.words import Word, parse_word
+from filebasis.words import EMPTY, Word, encode, parse_word
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +25,12 @@ def glue_second_face(d, relator, inverted=False):
     """Attach a second face along the first contour dart, reading the
     relator (or its inverse) from a rotation that fits."""
     contour = d.map.contours[0]
-    shared = d.letter(contour[0])
-    base = relator.inverse().letter_tuple() if inverted else relator.letter_tuple()
+    shared = d.labels[contour[0]]
+    base = relator.inverse().code() if inverted else relator.code()
     for k in range(len(base)):
         rot = base[k:] + base[:k]
         if rot[0] == shared:
-            return dg.glue_boundary(d, Word.from_letters(rot), "f1", 1)
+            return dg.glue_boundary(d, Word.from_code(rot), "f1", 1)
     raise AssertionError("no fitting rotation")
 
 
@@ -42,8 +42,8 @@ def _is_special_word(seg, n):
     runs = [(letter, len(list(group))) for letter, group in groupby(seg)]
     if len(runs) != n:
         return False
-    ups = [(j, 1) for j in range(1, n + 1)]
-    downs = [(j, -1) for j in range(n, 0, -1)]
+    ups = list(encode((j, 1) for j in range(1, n + 1)))
+    downs = list(encode((j, -1) for j in range(n, 0, -1)))
     shape = [letter for letter, _ in runs]
     if shape not in (ups, downs):
         return False
@@ -52,10 +52,10 @@ def _is_special_word(seg, n):
 
 
 def scan_special_subpaths(label, n):
-    """Exhaustive quadratic scan for qualifying subpaths; a test oracle for
-    uniqueness on small faces."""
+    """Exhaustive quadratic scan for qualifying subpaths of a code string;
+    a test oracle for uniqueness on small faces."""
     k = len(label)
-    doubled = tuple(label) + tuple(label)
+    doubled = label + label
     bound = Fraction(n, 2 * n - 2) if n > 1 else Fraction(1, 2)
     found = []
     for start in range(k):
@@ -83,8 +83,8 @@ class TestValidate:
     def test_match_every_toy_rotation(self, toy_relator, offset):
         # the face reads the relator from its letter `offset` on, so the
         # relator starts at rotation 17 - offset of the face label
-        letters = toy_relator.letter_tuple()
-        face = dg.polygon_diagram(Word.from_letters(letters[offset:] + letters[:offset]))
+        code = toy_relator.code()
+        face = dg.polygon_diagram(Word.from_code(code[offset:] + code[:offset]))
         report = dg.validate_diagram(face, [toy_relator])
         assert report.ok
         assert report.face_matches["f0"] == (0, 1, (17 - offset) % 17)
@@ -95,13 +95,13 @@ class TestValidate:
         ids=["offset-2000", "inverse"],
     )
     def test_match_theorem_scale_face(self, theorem_relator, reading, expected):
-        letters = theorem_relator.letter_tuple()
-        assert len(letters) == 39755
+        code = theorem_relator.code()
+        assert len(code) == 39755
         if reading == "offset":
-            label = letters[2000:] + letters[:2000]
+            label = code[2000:] + code[:2000]
         else:
-            label = theorem_relator.inverse().letter_tuple()
-        face = dg.polygon_diagram(Word.from_letters(label))
+            label = theorem_relator.inverse().code()
+        face = dg.polygon_diagram(Word.from_code(label))
         report = dg.validate_diagram(face, [theorem_relator])
         assert report.ok
         assert report.face_matches["f0"] == expected
@@ -155,26 +155,26 @@ class TestSpecialSelection:
         fs = sel.per_face["f0"]
         assert fs.length == 15
         assert Fraction(fs.length) > Fraction(3, 4) * len(toy_relator)
-        label = [toy_face.letter(d) for d in fs.darts(toy_face.complex)]
-        assert label == [(1, 1)] * 5 + [(2, 1)] * 5 + [(3, 1)] * 5
+        label = "".join(toy_face.labels[d] for d in fs.darts(toy_face.complex))
+        assert label == encode([(1, 5), (2, 5), (3, 5)])
 
     def test_uniqueness_scan(self, toy_relator):
-        hits = scan_special_subpaths(toy_relator.letter_tuple(), 3)
+        hits = scan_special_subpaths(toy_relator.code(), 3)
         assert len(hits) == 1
         assert hits[0] == (0, 15)
 
     def test_uniqueness_all_rotations(self, toy_relator):
-        letters = toy_relator.letter_tuple()
-        for k in range(len(letters)):
-            rot = letters[k:] + letters[:k]
+        code = toy_relator.code()
+        for k in range(len(code)):
+            rot = code[k:] + code[:k]
             assert len(scan_special_subpaths(rot, 3)) == 1
 
     def test_mirror_direction(self, toy_face):
         m = dg.mirror_copy(toy_face)
         sel = dg.special_selection(m, 3)
         fs = sel.per_face["f0"]
-        label = [m.letter(d) for d in fs.darts(m.complex)]
-        assert label == [(3, -1)] * 5 + [(2, -1)] * 5 + [(1, -1)] * 5
+        label = "".join(m.labels[d] for d in fs.darts(m.complex))
+        assert label == encode([(3, -5), (2, -5), (1, -5)])
 
     def test_no_selection_on_foreign_face(self):
         d = dg.polygon_diagram(parse_word("x1 x3 x2", 3))
@@ -185,7 +185,7 @@ class TestSpecialSelection:
         d2 = glue_second_face(toy_face, toy_relator)
         sel = dg.special_selection(d2, 3)
         for fid, fs in sel.per_face.items():
-            label = d2.face_label(fid)
+            label = d2.face_code(fid)
             assert scan_special_subpaths(label, 3) == [(fs.start, fs.length)]
 
 
@@ -544,7 +544,7 @@ def _build(name, relator):
     if name == "path x1 x2":
         return dg.degenerate_path_diagram(parse_word("x1 x2", 3))
     if name == "path empty":
-        return dg.degenerate_path_diagram(Word.from_letters([]))
+        return dg.degenerate_path_diagram(EMPTY)
     if name == "sphere toy":
         return dg.sphere_double(relator)
     return glue_second_face(dg.polygon_diagram(relator), relator)

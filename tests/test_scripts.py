@@ -92,3 +92,24 @@ def test_diff_length3_queries(tmp_path):
         ("eq", "rewrite"): 186,
         ("conj", None): 186,
     }
+
+
+def test_diff_enum_queries(tmp_path):
+    proc = run_script("diff_toy_queries.py", "--workloads", "enum", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(record["argv"][0], record["code"]) for record in records] == [
+        *[("enum-words", 0)] * 4,
+        ("gen", 0),
+        ("gen", 2),  # the second step runs out of --max-states 50
+        ("gen", 0),
+    ]
+    for record in records:
+        assert (record["workload"], record["seed"]) == ("enum", None)
+    for record, n in zip(records, (1, 2, 3, 63)):
+        out = json.loads(record["stdout"])
+        assert out["n"] == n
+        assert len(out["words"]) == 3000
+        assert out["words"][:2] == ["", "x1"]
+    relators = [json.loads(record["stdout"])["presentation"]["relators"] for record in records[4:]]
+    assert [[rel["w"] for rel in rels] for rels in relators] == [["x2 x1"]] * 3

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import word_of
 from hypothesis import given, settings, strategies as st
 
 from filebasis.words import (
@@ -10,21 +11,15 @@ from filebasis.words import (
     cyclic_insert,
     cyclic_join,
     cyclic_reduce,
-    deglex_compare,
-    deglex_key,
     deglex_successor,
     encode,
     free_reduce,
     insert,
-    inverse_letter,
     invert,
     iter_reduced_words,
     iter_regular_words,
     least_rotation,
-    letter_rank,
     parse_word,
-    rank_letter,
-    reduce_letters,
     reduced_variants,
     seam_positions,
 )
@@ -39,40 +34,39 @@ def w(text: str, n: int = 4) -> Word:
 
 class TestReduce:
     def test_cancellation(self):
-        assert Word.from_letters([(1, 1), (1, -1)]) == EMPTY
+        assert word_of([(1, 1), (1, -1)]) == EMPTY
 
     def test_run_merging(self):
-        assert Word.from_letters([(1, 1), (1, 1), (2, 1)]).runs == ((1, 2), (2, 1))
+        assert word_of([(1, 1), (1, 1), (2, 1)]).runs == ((1, 2), (2, 1))
 
     def test_inner_cancellation(self):
-        out = Word.from_letters([(2, 1), (1, 1), (1, -1), (3, 1)])
+        out = word_of([(2, 1), (1, 1), (1, -1), (3, 1)])
         assert out.runs == ((2, 1), (3, 1))
 
     def test_bad_index(self):
         with pytest.raises(MalformedWordError):
-            reduce_letters([(0, 1)], 4)
+            encode([(0, 1)])
         with pytest.raises(MalformedWordError):
-            reduce_letters([(5, 1)], 4)
+            parse_word("x2 x5^-1", 4)
 
     @given(letter_lists)
     def test_idempotent(self, raw):
-        once = Word.from_letters(raw)
-        again = Word.from_letters(once.letter_tuple())
+        once = word_of(raw)
+        again = Word.from_code(once.code())
         assert once == again
 
     @given(letter_lists)
     def test_length_shrinks(self, raw):
-        assert len(Word.from_letters(raw)) <= len(raw)
+        assert len(word_of(raw)) <= len(raw)
 
     @given(letter_lists)
     def test_parity_preserved(self, raw):
-        assert len(Word.from_letters(raw)) % 2 == len(raw) % 2
+        assert len(word_of(raw)) % 2 == len(raw) % 2
 
     @given(letter_lists)
     def test_reduced_invariant(self, raw):
-        word = Word.from_letters(raw)
-        seq = word.letter_tuple()
-        assert all(a != inverse_letter(b) for a, b in zip(seq, seq[1:]))
+        code = word_of(raw).code()
+        assert all(ord(a) ^ ord(b) != 1 for a, b in zip(code, code[1:]))
 
 
 # naive references for the word kernel, on (index, sign) tuples
@@ -129,7 +123,7 @@ class TestKernel:
     @given(letter_lists)
     def test_free_reduce_deletes_inverse_pairs(self, raw):
         assert free_reduce(encode(raw)) == encode(naive_free_reduce(raw))
-        assert Word.from_letters(raw).letter_tuple() == naive_free_reduce(raw)
+        assert word_of(raw).code() == encode(naive_free_reduce(raw))
 
     @given(letter_lists)
     def test_cyclic_reduce_strips_inverse_ends(self, raw):
@@ -197,7 +191,9 @@ class TestKernel:
 
     @given(letters)
     def test_inverse_letter_code(self, letter):
-        assert encode([inverse_letter(letter)]) == chr(ord(encode([letter])) ^ 1)
+        index, sign = letter
+        code = encode([letter])
+        assert encode([(index, -sign)]) == invert(code) == chr(ord(code) ^ 1)
 
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=12))
     def test_from_runs_is_free_reduction_of_runs(self, runs):
@@ -213,20 +209,20 @@ class TestKernel:
 
     @given(letter_lists)
     def test_code_round_trip(self, raw):
-        word = Word.from_letters(raw)
-        assert word.code() == encode(word.letter_tuple())
+        word = word_of(raw)
+        assert word.code() == free_reduce(encode(raw))
         assert Word.from_code(word.code()) == word
 
 
 class TestGroupOps:
     @given(letter_lists)
     def test_inverse_cancels(self, raw):
-        word = Word.from_letters(raw)
+        word = word_of(raw)
         assert word * word.inverse() == EMPTY
 
     @given(letter_lists, letter_lists)
     def test_product_length(self, a, b):
-        x, y = Word.from_letters(a), Word.from_letters(b)
+        x, y = word_of(a), word_of(b)
         assert len(x * y) <= len(x) + len(y)
 
     def test_conjugate(self):
@@ -252,7 +248,7 @@ class TestCyclicReduce:
 
     @given(letter_lists)
     def test_decomposition(self, raw):
-        word = Word.from_letters(raw)
+        word = word_of(raw)
         core, conj = word.cyclically_reduce()
         assert conj * core * conj.inverse() == word
         assert core.is_cyclically_reduced()
@@ -273,13 +269,13 @@ class TestRegularity:
 
     @given(letter_lists)
     def test_both_iff_letter_power(self, raw):
-        word = Word.from_letters(raw)
+        word = word_of(raw)
         both = word.is_regular() and word.is_counter_regular()
         assert both == (len(word.runs) <= 1)
 
     @given(letter_lists)
     def test_counter_is_inverse_regular(self, raw):
-        word = Word.from_letters(raw)
+        word = word_of(raw)
         assert word.is_counter_regular() == word.inverse().is_regular()
 
 
@@ -292,12 +288,12 @@ class TestMirror:
 
     @given(letter_lists)
     def test_involution(self, raw):
-        word = Word.from_letters(raw)
+        word = word_of(raw)
         assert word.relabel_mirror(4).relabel_mirror(4) == word
 
     @given(letter_lists)
     def test_swaps_regularity(self, raw):
-        word = Word.from_letters(raw)
+        word = word_of(raw)
         m = word.relabel_mirror(4)
         assert word.is_regular() == m.is_counter_regular()
         assert word.is_counter_regular() == m.is_regular()
@@ -319,74 +315,99 @@ class TestText:
 
     @given(letter_lists)
     def test_roundtrip_random(self, raw):
-        word = Word.from_letters(raw)
+        word = word_of(raw)
         assert parse_word(str(word), 4) == word
+
+
+def deglex_key(code):
+    # deg-lex order of code strings: by length, then by letter with
+    # x_1 < x_1^-1 < x_2 < ... , the order of code ^ 1
+    return (len(code), [ord(c) ^ 1 for c in code])
+
+
+def sorted_reduced_codes(n, max_length):
+    """Every reduced code string over x_1..x_n up to max_length letters,
+    built by brute force and sorted by deglex_key."""
+    codes, layer = [""], [""]
+    for _ in range(max_length):
+        layer = [
+            code + chr(c)
+            for code in layer
+            for c in range(2 * n)
+            if not code or ord(code[-1]) ^ c != 1
+        ]
+        codes += layer
+    return sorted(codes, key=deglex_key)
+
+
+SORTED_CODES = {n: sorted_reduced_codes(n, 4) for n in (1, 2, 3)}
+
+
+def position(text, n):
+    """Position of a word of length <= 4 in the deg-lex enumeration."""
+    return SORTED_CODES[n].index(parse_word(text, n).code())
 
 
 class TestDeglex:
     def test_letter_rank_bijection(self):
+        # a letter's deg-lex rank is its code with the last bit flipped
         for r in range(8):
-            assert letter_rank(rank_letter(r)) == r
+            index, sign = r // 2 + 1, 1 if r % 2 == 0 else -1
+            assert ord(encode([(index, sign)])) ^ 1 == r
+        singles = [word.code() for _, word in zip(range(9), iter_reduced_words(4))][1:]
+        assert singles == [chr(r ^ 1) for r in range(8)]
 
     def test_length_dominates(self):
-        assert deglex_compare(w("x4 x4"), w("x1 x1 x1")) < 0
+        assert position("x3 x3", 3) < position("x1 x1 x1", 3)
+        assert position("x3^-1", 3) < position("x1 x1", 3)
 
     def test_alphabetic(self):
-        assert deglex_compare(w("x1 x2 x3"), w("x1 x3 x2")) < 0
+        assert position("x1 x2 x3", 3) < position("x1 x3 x2", 3)
 
     def test_letter_before_inverse(self):
-        assert deglex_compare(w("x1"), w("x1^-1")) < 0
+        assert position("x1", 3) < position("x1^-1", 3) < position("x2", 3)
+        assert position("x2^-1 x1", 3) < position("x2^-1 x1^-1", 3)
 
     def test_successor_start(self):
-        assert deglex_successor(EMPTY, 3) == w("x1", 3)
+        assert deglex_successor("", 3) == w("x1", 3).code()
 
     def test_successor_wraps_length(self):
-        assert deglex_successor(w("x3^-1", 3), 3) == w("x1^2", 3)
+        assert deglex_successor(w("x3^-1", 3).code(), 3) == w("x1^2", 3).code()
+        assert deglex_successor(w("x3^-3", 3).code(), 3) == w("x1^4", 3).code()
 
     def test_successor_example(self):
-        assert deglex_successor(w("x1 x2", 3), 3) == parse_word("x1 x2^-1", 3)
+        assert deglex_successor(w("x1 x2", 3).code(), 3) == w("x1 x2^-1", 3).code()
+        # the fill after x1^-1 is x1^-1, not the cancelling x1
+        assert deglex_successor(w("x3 x1 x3^-1", 3).code(), 3) == w("x3 x1^-2", 3).code()
+        # x2 x2^-1 cancels, so x2 x3 follows x2^2
+        assert deglex_successor(w("x2^2", 3).code(), 3) == w("x2 x3", 3).code()
 
     def test_enumeration_matches_sorting(self):
-        n = 2
         by_successor = []
-        for word in iter_reduced_words(n):
-            if len(word) > 3:
+        for word in iter_reduced_words(3):
+            if len(word) > 4:
                 break
-            by_successor.append(word)
-        # independently: generate all reduced words of length <= 3 and sort
-        words = {EMPTY}
-        frontier = [EMPTY]
-        for _ in range(3):
-            nxt = []
-            for word in frontier:
-                for i in range(1, n + 1):
-                    for s in (1, -1):
-                        ext = Word.from_letters(word.letter_tuple() + ((i, s),))
-                        if len(ext) == len(word) + 1 and ext not in words:
-                            words.add(ext)
-                            nxt.append(ext)
-            frontier = nxt
-        assert by_successor == sorted(words, key=deglex_key)
+            by_successor.append(word.code())
+        # independently: all reduced words of length <= 4, sorted by key
+        assert by_successor == SORTED_CODES[3]
+        assert len(by_successor) == 1 + 6 + 30 + 150 + 750
 
-    @given(letter_lists, letter_lists, letter_lists)
-    def test_total_order(self, a, b, c):
-        x, y, z = (Word.from_letters(t) for t in (a, b, c))
-        assert deglex_compare(x, y) == -deglex_compare(y, x)
-        if deglex_compare(x, y) <= 0 and deglex_compare(y, z) <= 0:
-            assert deglex_compare(x, z) <= 0
-        if deglex_compare(x, y) == 0:
-            assert x == y
+    @given(st.sampled_from((1, 2, 3)), st.data())
+    def test_successor_is_next_in_sorted_order(self, n, data):
+        codes = SORTED_CODES[n]
+        k = data.draw(st.integers(0, len(codes) - 2))
+        assert deglex_successor(codes[k], n) == codes[k + 1]
 
     @given(letter_lists)
     def test_successor_is_greater(self, raw):
-        word = Word.from_letters(raw)
-        assert deglex_compare(deglex_successor(word, 4), word) > 0
+        code = free_reduce(encode(raw))
+        assert deglex_key(deglex_successor(code, 4)) > deglex_key(code)
 
 
 class TestRegularEnumeration:
     def test_regular_stream_is_sorted_and_regular(self):
         seen = list(iter_regular_words(3, 4))
-        keys = [deglex_key(u) for u in seen]
+        keys = [deglex_key(u.code()) for u in seen]
         assert keys == sorted(keys)
         assert all(u.is_regular() for u in seen)
         assert len(set(seen)) == len(seen)
