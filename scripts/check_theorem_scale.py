@@ -43,7 +43,7 @@ def main():
 
     ok_main, met = dg.check_main_lemma(face, sel, params)
     print(f"  global inequality S >= (1-2mu)*Sigma: {ok_main}  (S={met.S}, Sigma={met.Sigma})")
-    ok_x, _ = dg.check_condition_X(face.map, sel, params.mu)
+    ok_x, _ = dg.check_condition_X(face, sel, params.mu)
     print(f"  semisimple inequality: {ok_x}")
     for k in (1, 62, 63):
         letters = set(range(1, k + 1))

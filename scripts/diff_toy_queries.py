@@ -29,6 +29,14 @@ the rewriting engine.
 consumer of the deg-lex enumeration, `enum-words --count 3000` for
 n = 1, 2, 3 and 63, toy `gen --count 1`, toy `gen --count 2` under small
 budgets, and theorem-scale `gen --count 1`: 7 queries, seed null.
+
+`--workloads discs` is not a benchmark workload either: it runs
+`check-diagram` with no condition and with `--condition B`, `X` and
+`main-lemma` on toy diagrams written through `diagram_to_dict`: 30 discs
+of 1 to 6 faces from `random_diagram` under `random.Random(7)`, their 30
+`mirror_copy`s, and `sphere_double` of the toy relator r1.  That is 244
+queries, seed null; the diagrams are built by the checkout's own diagram
+module.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -46,8 +55,9 @@ import freegroup as fg  # noqa: E402
 import workloads as wl  # noqa: E402
 
 TOY = ("toy-nf", "toy-eq", "toy-conj")
-UNSEEDED = ("length3", "enum")
+UNSEEDED = ("length3", "enum", "discs")
 LENGTH3_PARTNER = "x2 x1"
+DISC_SEED, DISC_COUNT = 7, 30
 ENUM_QUERIES = [
     *(["enum-words", "--n", str(n), "--count", "3000"] for n in (1, 2, 3, 63)),
     ["gen", *wl.TOY, "--count", "1"],
@@ -76,15 +86,33 @@ def _length3_queries(pres_file: str) -> list:
     return queries
 
 
+def _disc_queries(pres_file: str, workdir: str) -> list:
+    """argv of the discs set, diagram by diagram, four conditions each."""
+    cli = wl.load_cli()
+    dg = cli.diagram
+    relators = cli.Presentation.from_dict(json.loads(Path(pres_file).read_text())).relator_words()
+    rng = random.Random(DISC_SEED)
+    corpus = [dg.random_diagram(relators, rng.randrange(1, 7), rng) for _ in range(DISC_COUNT)]
+    queries = []
+    for k, d in enumerate([*corpus, *map(dg.mirror_copy, corpus), dg.sphere_double(relators[0])]):
+        path = Path(workdir) / f"diagram{k}.json"
+        path.write_text(json.dumps(dg.diagram_to_dict(d)))
+        argv = ["check-diagram", str(path), "--presentation", pres_file]
+        queries += [argv, *([*argv, "--condition", c] for c in ("B", "X", "main-lemma"))]
+    return queries
+
+
 def _plan_queries(name: str, seed: int | None, seconds: float, workdir: str) -> list:
     if name == "enum":
         return ENUM_QUERIES
-    if name == "length3":
+    if name in ("length3", "discs"):
         code, out, err = wl.call_cli(wl.load_cli(), ["gen", *wl.TOY, "--count", "1"])
         if code != 0:
             raise RuntimeError(f"gen exited {code}: {err.strip()}")
         pres_file = Path(workdir) / "presentation.json"
         pres_file.write_text(json.dumps(json.loads(out)["presentation"]))
+        if name == "discs":
+            return _disc_queries(str(pres_file), workdir)
         return _length3_queries(str(pres_file))
     workload = wl.WORKLOADS[name]
     plan = wl.prepare(workload, seed, seconds, Path(workdir))

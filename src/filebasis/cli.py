@@ -48,8 +48,17 @@ def _budget_from_args(args) -> Budget:
 
 
 def _load_presentation(path: str) -> Presentation:
-    with open(path) as fh:
-        return Presentation.from_dict(json.load(fh))
+    """The presentation in a JSON file.  An unreadable file and bad data in
+    it are data errors (65), unlike bad parameters on the command line."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise construction.ConstructionError(f"cannot read {path}: {exc}") from exc
+    try:
+        return Presentation.from_dict(data)
+    except MalformedParamsError as exc:
+        raise construction.ConstructionError(str(exc)) from exc
 
 
 def _outcome_exit(out: Outcome) -> int:
@@ -186,7 +195,7 @@ def cmd_check_diagram(args) -> int:
             if not all(r.b0 and r.b1 and r.b2 for r in reports):
                 status = EX_NO
         elif args.condition == "X":
-            ok, met = diagram.check_condition_X(d.map, sel, params.mu)
+            ok, met = diagram.check_condition_X(d, sel, params.mu)
             result["condition_X"] = {"passed": ok, "metrics": asdict(met)}
             if not ok:
                 status = EX_NO
@@ -308,12 +317,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EX_USAGE
     except (MalformedWordError, diagram.DiagramError, construction.ConstructionError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EX_DATA
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EX_DATA
-    except json.JSONDecodeError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EX_DATA
 

@@ -316,7 +316,7 @@ class Presentation:
                 )
                 for item in data.get("relators", [])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedParamsError(f"bad presentation data: {exc}") from exc
         truncated = data.get("truncated", False)
         if not isinstance(truncated, bool):

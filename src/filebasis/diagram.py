@@ -1,21 +1,26 @@
 """Combinatorial maps and diagrams: dart-involution 2-complexes, labeled
 faces and contours, selections, and the structural checkers.
 
-A diagram is stored abstractly: darts with an involution and vertex
-endpoints, faces with boundary cycles, plus contour cycles.  The central
-structural invariant is the dart partition: every dart lies in exactly
-one face boundary cycle or exactly one contour, never both and never
-twice.  Sphericity of the ambient surface is validated through the Euler
-characteristic (V - E + F + C = 2 for connected disc/annular/spherical
-maps, counting contour regions as faces); no geometric embedding is kept.
+A diagram is one record, `Diagram`, stored abstractly: darts with an
+involution, vertex origins and letter labels, faces with boundary cycles,
+and contour cycles.  The central structural invariant is the dart
+partition: every dart lies in exactly one face boundary cycle or exactly
+one contour, never both and never twice.  Sphericity of the ambient
+surface is validated through the Euler characteristic (V - E + F + C = 2
+for connected disc/annular/spherical maps, counting contour regions as
+faces); no geometric embedding is kept.  Every checker takes the record;
+a submap is a set of vertices, darts and faces inside it.
 
 Darts and vertices are numbered once, when a diagram is read or built
 (`_diagram`): darts 0 .. 2E-1 and vertices 0 .. V-1, in the order given.
 The involution and the origins are tuples indexed by dart, cycles are
 tuples of darts, and the labels are one code string indexed by dart, in
-the letter encoding of `words`.  The ids of the diagram file are kept, one
-tuple for darts and one for vertices; reports and `diagram_to_dict` use
-them.  Faces keep their ids as keys.
+the letter encoding of `words`.  Three indexes are cached on the record at
+first use: each dart's terminus, each dart's face and position, and each
+vertex's outgoing darts.  The ids of the diagram file are kept, one tuple
+for darts and one for vertices; reports and `diagram_to_dict` use them.
+Faces keep their ids as keys.  A diagram that differs from another only
+in its cycles is made from it with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ class DiagramError(ValueError):
 
 
 @dataclass(frozen=True)
-class Complex2:
-    """Oriented combinatorial 2-complex over numbered darts and vertices.
+class Diagram:
+    """A labelled map over numbered darts and vertices, with its contours.
 
     `inv[d]` is None where d's inverse is not a dart, and `origin[d]` None
     where d's origin is not a vertex.  `dart_ids` goes on past the darts
@@ -50,20 +55,34 @@ class Complex2:
     dart_ids: tuple  # dart -> its id
     inv: tuple  # dart -> dart
     origin: tuple  # dart -> vertex
+    labels: str  # dart -> code letter
     faces: dict  # face id -> tuple of darts (boundary cycle)
+    contours: tuple  # cyclic dart sequences
 
     def edge_count(self) -> int:
         return len(self.inv) // 2
-
-    def degree(self, v) -> int:
-        """Incident edge count with loops counted twice = darts leaving v."""
-        return len(self.out_darts[v])
 
     def reverse(self, cycle: Sequence) -> tuple:
         """The cycle walked backwards, over the inverse darts."""
         return tuple(map(self.inv.__getitem__, reversed(cycle)))
 
-    # -- indexes, computed once per complex --------------------------------
+    def face_code(self, face_id) -> str:
+        """The face label as a code string."""
+        return "".join(map(self.labels.__getitem__, self.faces[face_id]))
+
+    @property
+    def is_disc(self) -> bool:
+        return len(self.contours) == 1
+
+    @property
+    def is_spherical(self) -> bool:
+        return len(self.contours) == 0 and bool(self.faces)
+
+    @property
+    def is_degenerate(self) -> bool:
+        return not self.faces
+
+    # -- indexes, computed once per diagram --------------------------------
 
     @cached_property
     def terminus(self) -> list:
@@ -90,38 +109,6 @@ class Complex2:
 
 
 @dataclass(frozen=True)
-class DiagramMap:
-    complex: Complex2
-    contours: tuple[tuple, ...]  # cyclic dart sequences
-
-    @property
-    def is_disc(self) -> bool:
-        return len(self.contours) == 1
-
-    @property
-    def is_spherical(self) -> bool:
-        return len(self.contours) == 0 and bool(self.complex.faces)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return not self.complex.faces
-
-
-@dataclass(frozen=True)
-class Diagram:
-    map: DiagramMap
-    labels: str  # dart -> code letter
-
-    @property
-    def complex(self) -> Complex2:
-        return self.map.complex
-
-    def face_code(self, face_id) -> str:
-        """The face label as a code string."""
-        return "".join(map(self.labels.__getitem__, self.complex.faces[face_id]))
-
-
-@dataclass(frozen=True)
 class FaceSelection:
     """One face's maximal selected subpath, by position in the boundary cycle."""
 
@@ -129,8 +116,8 @@ class FaceSelection:
     start: int  # index into the face's boundary cycle
     length: int
 
-    def darts(self, complex: Complex2) -> tuple:
-        cycle = complex.faces[self.face]
+    def darts(self, d: Diagram) -> tuple:
+        cycle = d.faces[self.face]
         k = len(cycle)
         return tuple(cycle[(self.start + j) % k] for j in range(self.length))
 
@@ -139,12 +126,12 @@ class FaceSelection:
 class Selection:
     per_face: dict  # face id -> FaceSelection
 
-    def marks(self, complex: Complex2) -> bytearray:
+    def marks(self, d: Diagram) -> bytearray:
         """Dart -> 1 on a designated subpath, 0 elsewhere."""
-        marks = bytearray(len(complex.inv))
+        marks = bytearray(len(d.inv))
         for fs in self.per_face.values():
-            for d in fs.darts(complex):
-                marks[d] = 1
+            for dart in fs.darts(d):
+                marks[dart] = 1
         return marks
 
 
@@ -186,21 +173,21 @@ class ValidationReport:
         }
 
 
-def _components(c: Complex2, keep: Optional[bytearray] = None) -> list[list]:
-    """Vertex lists of the connected components of c, with the darts marked
+def _components(d: Diagram, keep: Optional[bytearray] = None) -> list[list]:
+    """Vertex lists of the connected components of d, with the darts marked
     in `keep` (all darts when None) as its edges."""
-    terminus, out_darts = c.terminus, c.out_darts
-    seen = bytearray(len(c.vertices))
+    terminus, out_darts = d.terminus, d.out_darts
+    seen = bytearray(len(d.vertices))
     components = []
-    for v0 in range(len(c.vertices)):
+    for v0 in range(len(d.vertices)):
         if seen[v0]:
             continue
         seen[v0] = 1
         component = [v0]
         for v in component:  # grows while it is walked
-            for d in out_darts[v]:
-                w = terminus[d]
-                if not seen[w] and (keep is None or keep[d]):
+            for dart in out_darts[v]:
+                w = terminus[dart]
+                if not seen[w] and (keep is None or keep[dart]):
                     seen[w] = 1
                     component.append(w)
         components.append(component)
@@ -229,8 +216,7 @@ def match_face_label(label: str, relators: Sequence[Word]) -> Optional[tuple[int
 def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
     """Full structural check plus face-label matching against the relators."""
     issues: list[ValidationIssue] = []
-    c = d.complex
-    inv, origin, ids = c.inv, c.origin, c.dart_ids
+    inv, origin, ids = d.inv, d.origin, d.dart_ids
     darts = len(inv)
 
     for k, (j, v) in enumerate(zip(inv, origin)):
@@ -250,9 +236,9 @@ def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
 
     # every face cycle and contour is a closed walk over known darts, and
     # together they partition the darts: each lies in exactly one of them
-    terminus = c.terminus
-    cycles = [(f"face {fid!r}", "empty boundary cycle", cycle) for fid, cycle in c.faces.items()]
-    cycles += [(f"contour {k}", "empty contour", cycle) for k, cycle in enumerate(d.map.contours)]
+    terminus = d.terminus
+    cycles = [(f"face {fid!r}", "empty boundary cycle", cycle) for fid, cycle in d.faces.items()]
+    cycles += [(f"contour {k}", "empty contour", cycle) for k, cycle in enumerate(d.contours)]
     count = [0] * darts
     for where, empty, cycle in cycles:
         if not cycle:
@@ -280,18 +266,18 @@ def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
                 )
             )
 
-    if len(_components(c)) > 1:
+    if len(_components(d)) > 1:
         issues.append(ValidationIssue("map", "underlying complex is not connected"))
 
     # Euler characteristic, counting contour regions as faces.  An edgeless
     # single vertex is exempt: its complementary region has no contour cycle.
     if darts:
-        chi = len(c.vertices) - c.edge_count() + len(c.faces) + len(d.map.contours)
+        chi = len(d.vertices) - d.edge_count() + len(d.faces) + len(d.contours)
         if chi != 2:
             issues.append(
                 ValidationIssue("map", f"Euler characteristic {chi} != 2")
             )
-    elif len(c.vertices) != 1 or c.faces or d.map.contours:
+    elif len(d.vertices) != 1 or d.faces or d.contours:
         issues.append(ValidationIssue("map", "edgeless map must be a single bare vertex"))
 
     labels = d.labels
@@ -303,7 +289,7 @@ def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
 
     face_matches: dict = {}
     if not issues:
-        for fid in c.faces:
+        for fid in d.faces:
             match = match_face_label(d.face_code(fid), relators)
             face_matches[fid] = match
             if match is None:
@@ -357,7 +343,7 @@ def special_selection(d: Diagram, n: int) -> Selection:
     """
     min_fraction = Fraction(n, 2 * n - 2) if n > 1 else Fraction(1, 2)
     per_face = {}
-    for fid in d.complex.faces:
+    for fid in d.faces:
         label = d.face_code(fid)
         hit = _find_special_subpath(label, n)
         if hit is None:
@@ -392,9 +378,8 @@ def find_immediately_cancellable(d: Diagram) -> list[frozenset]:
     """Unordered face pairs with mutually inverse labels readable from a
     shared edge: a dart on one face whose inverse is on the other, with the
     two boundary readings from that edge being equal words."""
-    c = d.complex
-    inv, face_of = c.inv, c.face_of
-    labels = {fid: d.face_code(fid) for fid in c.faces}
+    inv, face_of = d.inv, d.face_of
+    labels = {fid: d.face_code(fid) for fid in d.faces}
     same: dict = {}  # (f1, f2, (p1 + p2) % k) -> whether the readings agree
     pairs = set()
     for dart, home in enumerate(face_of):
@@ -427,7 +412,7 @@ def is_weakly_reduced(d: Diagram) -> bool:
 # arcs
 
 
-def maximal_arcs(m: DiagramMap) -> list[tuple]:
+def maximal_arcs(d: Diagram) -> list[tuple]:
     """Maximal arcs: dart paths whose intermediate vertices all have degree 2.
 
     Each arc is reported once per orientation class: the returned list
@@ -436,8 +421,7 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
     Arcs start at darts in the order of their ids as strings: first the
     darts leaving a vertex whose degree is not 2, then the closed cycles.
     """
-    c = m.complex
-    inv, origin, terminus, out_darts = c.inv, c.origin, c.terminus, c.out_darts
+    inv, origin, terminus, out_darts = d.inv, d.origin, d.terminus, d.out_darts
     seen = bytearray(len(inv))
 
     def walk(dart) -> tuple:
@@ -454,7 +438,7 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
             seen[dart] = seen[inv[dart]] = 1
         return tuple(path)
 
-    order = sorted(range(len(inv)), key=list(map(str, c.dart_ids)).__getitem__)
+    order = sorted(range(len(inv)), key=list(map(str, d.dart_ids)).__getitem__)
     arcs = [walk(dart) for dart in order if not seen[dart] and len(out_darts[origin[dart]]) != 2]
     # the darts left over lie on closed degree-2 cycles
     arcs += [walk(dart) for dart in order if not seen[dart]]
@@ -463,11 +447,11 @@ def maximal_arcs(m: DiagramMap) -> list[tuple]:
 
 def double_selected_arcs(d: Diagram, sel: Selection) -> list[tuple]:
     """Maximal arcs both of whose orientations lie in designated subpaths."""
-    inv = d.complex.inv
-    marks = sel.marks(d.complex)
+    inv = d.inv
+    marks = sel.marks(d)
     return [
         arc
-        for arc in maximal_arcs(d.map)
+        for arc in maximal_arcs(d)
         if all(marks[dart] and marks[inv[dart]] for dart in arc)
     ]
 
@@ -491,14 +475,13 @@ def check_condition_B(
     """Per-face checks: one maximal selected subpath (structural here),
     selected length at least (1-lambda1) of the boundary, and every
     double-selected arc at most lambda2 of the boundary."""
-    c = d.complex
-    inv, face_of = c.inv, c.face_of
-    arcs_at: dict = {fid: [] for fid in c.faces}  # face -> incident double-selected arcs
+    inv, face_of = d.inv, d.face_of
+    arcs_at: dict = {fid: [] for fid in d.faces}  # face -> incident double-selected arcs
     for arc in double_selected_arcs(d, sel):
         for fid in {face_of[x][0] for dart in arc for x in (dart, inv[dart]) if face_of[x]}:
             arcs_at[fid].append(arc)
     reports = []
-    for fid, cycle in c.faces.items():
+    for fid, cycle in d.faces.items():
         blen = len(cycle)
         fs = sel.per_face.get(fid)
         b0 = fs is not None  # the representation stores exactly one subpath
@@ -519,15 +502,15 @@ def check_condition_B(
 # semisimple submaps and condition X
 
 
-def _on_faces(c: Complex2) -> bytearray:
+def _on_faces(d: Diagram) -> bytearray:
     """Dart -> 1 where the dart or its inverse lies on a face."""
-    face_of = c.face_of
-    return bytearray(bool(face_of[d] or face_of[j]) for d, j in enumerate(c.inv))
+    face_of = d.face_of
+    return bytearray(bool(face_of[x] or face_of[j]) for x, j in enumerate(d.inv))
 
 
-def is_semisimple(m: DiagramMap) -> bool:
+def is_semisimple(d: Diagram) -> bool:
     """Every edge is incident to a face."""
-    return all(_on_faces(m.complex))
+    return all(_on_faces(d))
 
 
 @dataclass(frozen=True)
@@ -539,120 +522,96 @@ class Submap:
     faces: frozenset
 
 
-def maximal_semisimple_submaps(m: DiagramMap) -> list[Submap]:
+def maximal_semisimple_submaps(d: Diagram) -> list[Submap]:
     """Connected components left after removing all face-free edges.
 
     Components may degenerate to single vertices.  Contour cycles of the
     pieces are not reconstructed: the checkers below only need vertex,
     edge and face membership.
     """
-    c = m.complex
-    keep = _on_faces(c)
-    names = list(map(str, c.vertices))
-    components = sorted(_components(c, keep), key=lambda comp: min(map(names.__getitem__, comp)))
-    index = [0] * len(c.vertices)
+    keep = _on_faces(d)
+    names = list(map(str, d.vertices))
+    components = sorted(_components(d, keep), key=lambda comp: min(map(names.__getitem__, comp)))
+    index = [0] * len(d.vertices)
     for k, comp in enumerate(components):
         for v in comp:
             index[v] = k
     darts: list = [[] for _ in components]
     faces: list = [[] for _ in components]
-    for dart, v in enumerate(c.origin):
+    for dart, v in enumerate(d.origin):
         if keep[dart]:
             darts[index[v]].append(dart)
-    for fid, cycle in c.faces.items():
-        faces[index[c.origin[cycle[0]]]].append(fid)
+    for fid, cycle in d.faces.items():
+        faces[index[d.origin[cycle[0]]]].append(fid)
     return [
         Submap(frozenset(comp), frozenset(ds), frozenset(fs))
         for comp, ds, fs in zip(components, darts, faces)
     ]
 
 
-def _selected_external_darts(c: Complex2, darts, on_face, sel: Selection) -> list:
+def _selected_external_darts(d: Diagram, sel: Selection, darts, faces) -> list:
     """Both darts of every edge of `darts` (closed under the involution)
-    that is external, with a dart not marked in `on_face`, and selected,
-    with a dart in a designated subpath.  Each such edge appears twice, so
-    the edge count S is half the length.  Over a whole valid map, with
-    `on_face` marking all face darts, the external edges are the contour
-    edges.
+    that is external, with a dart on none of `faces`, and selected, with a
+    dart in a designated subpath.  Each such edge appears twice.  Over a
+    whole valid map the external edges are the contour edges; a submap has
+    no explicit contours, and the count applies to it all the same.
     """
-    inv = c.inv
-    marks = sel.marks(c)
+    on_face = bytearray(len(d.inv))
+    for fid in faces:
+        for dart in d.faces[fid]:
+            on_face[dart] = 1
+    inv = d.inv
+    marks = sel.marks(d)
     return [
-        d
-        for d in darts
-        if not (on_face[d] and on_face[inv[d]]) and (marks[d] or marks[inv[d]])
+        x for x in darts if not (on_face[x] and on_face[inv[x]]) and (marks[x] or marks[inv[x]])
     ]
 
 
-def metrics(d: Diagram, sel: Selection) -> DiagramMetrics:
-    c = d.complex
+def _metrics(d: Diagram, sel: Selection, darts, faces) -> DiagramMetrics:
+    """S, Sigma, E and F over the edges of `darts` (closed under the
+    involution) and the given faces."""
     return DiagramMetrics(
-        S=len(_selected_external_darts(c, range(len(c.inv)), c.face_of, sel)) // 2,
-        Sigma=sum(len(cycle) for cycle in c.faces.values()),
-        E=c.edge_count(),
-        F=len(c.faces),
+        S=len(_selected_external_darts(d, sel, darts, faces)) // 2,
+        Sigma=sum(len(d.faces[fid]) for fid in faces),
+        E=len(darts) // 2,
+        F=len(faces),
     )
 
 
-def check_condition_X(
-    m: DiagramMap, sel: Selection, mu: Fraction
-) -> tuple[bool, DiagramMetrics]:
-    """S >= E - mu * Sigma for a semisimple map.
+def metrics(d: Diagram, sel: Selection) -> DiagramMetrics:
+    """The counts over the whole map."""
+    return _metrics(d, sel, range(len(d.inv)), d.faces)
 
-    External edges here are those with a dart outside every face cycle,
-    so the check also applies to submaps without explicit contours.
-    """
-    if not is_semisimple(m):
+
+def _condition_X(met: DiagramMetrics, mu: Fraction) -> tuple[bool, DiagramMetrics]:
+    """Condition X on the counts: S >= E - mu * Sigma."""
+    return Fraction(met.S) >= met.E - mu * met.Sigma, met
+
+
+def check_condition_X(d: Diagram, sel: Selection, mu: Fraction) -> tuple[bool, DiagramMetrics]:
+    """S >= E - mu * Sigma for a semisimple map."""
+    if not is_semisimple(d):
         raise DiagramError("map is not semisimple")
-    c = m.complex
-    return _condition_X(c, range(len(c.inv)), c.face_of, c.faces, sel, mu)
+    return _condition_X(metrics(d, sel), mu)
 
 
 def submap_condition_X(
-    m: DiagramMap, sub: Submap, sel: Selection, mu: Fraction
+    d: Diagram, sub: Submap, sel: Selection, mu: Fraction
 ) -> tuple[bool, DiagramMetrics]:
     """Condition X evaluated on one maximal semisimple submap in place."""
-    c = m.complex
-    on_face = bytearray(len(c.inv))
-    for fid in sub.faces:
-        for dart in c.faces[fid]:
-            on_face[dart] = 1
-    return _condition_X(c, sub.darts, on_face, sub.faces, sel, mu)
+    return _condition_X(_metrics(d, sel, sub.darts, sub.faces), mu)
 
 
-def _condition_X(
-    c: Complex2, darts, on_face, faces, sel: Selection, mu: Fraction
-) -> tuple[bool, DiagramMetrics]:
-    """S >= E - mu * Sigma over the edges of `darts` (closed under the
-    involution) and the given faces, S as in `_selected_external_darts`."""
-    S = len(_selected_external_darts(c, darts, on_face, sel)) // 2
-    Sigma = sum(len(c.faces[fid]) for fid in faces)
-    E = len(darts) // 2
-    met = DiagramMetrics(S=S, Sigma=Sigma, E=E, F=len(faces))
-    return Fraction(met.S) >= E - mu * Sigma, met
-
-
-def check_main_lemma(
-    d: Diagram, sel: Selection, params, require_B: bool = True
-) -> tuple[bool, DiagramMetrics]:
+def check_main_lemma(d: Diagram, sel: Selection, params) -> tuple[bool, DiagramMetrics]:
     """S >= (1 - 2*mu) * Sigma for a map with at most 3 contours whose
-    selection satisfies the per-face condition checks.
-
-    require_B=False skips the per-face precondition and just evaluates the
-    inequality; useful at small alphabet sizes where the per-face length
-    bound cannot hold but the inequality itself is still meaningful.
-    """
-    if len(d.map.contours) > 3:
+    selection satisfies the per-face condition checks."""
+    if len(d.contours) > 3:
         raise DiagramError("more than 3 contours")
-    if require_B:
-        for rep in check_condition_B(d, sel, params.lambda1, params.lambda2):
-            if not (rep.b0 and rep.b1 and rep.b2):
-                raise DiagramError(
-                    f"face {rep.face!r} fails the per-face conditions: {rep.detail}"
-                )
+    for rep in check_condition_B(d, sel, params.lambda1, params.lambda2):
+        if not (rep.b0 and rep.b1 and rep.b2):
+            raise DiagramError(f"face {rep.face!r} fails the per-face conditions: {rep.detail}")
     met = metrics(d, sel)
-    ok = Fraction(met.S) >= (1 - 2 * params.mu) * met.Sigma
-    return ok, met
+    return Fraction(met.S) >= (1 - 2 * params.mu) * met.Sigma, met
 
 
 def check_letter_budget(
@@ -662,14 +621,13 @@ def check_letter_budget(
     number strictly less than (k/n) * Sigma, k the subset size."""
     if not letters:
         raise DiagramError("letter subset must be nonempty")
-    c = d.complex
-    if not c.faces:
+    if not d.faces:
         raise DiagramError("degenerate diagram")
-    external = _selected_external_darts(c, range(len(c.inv)), c.face_of, sel)
+    external = _selected_external_darts(d, sel, range(len(d.inv)), d.faces)
     twice = Counter(ord(d.labels[dart]) // 2 + 1 for dart in external)
     per_letter = {i: twice[i] // 2 for i in letters}
     count = sum(per_letter.values())
-    Sigma = sum(len(cycle) for cycle in c.faces.values())
+    Sigma = metrics(d, sel).Sigma
     k = len(letters)
     ok = Fraction(count) < Fraction(k, n) * Sigma
     return ok, {"count": count, "per_letter": per_letter, "Sigma": Sigma, "k": k}
@@ -685,10 +643,11 @@ def mirror_copy(d: Diagram) -> Diagram:
     Each reversed cycle is re-seated on inverse darts so cycles stay
     closed; reading a mirrored face yields the inverse word.  Involutive.
     """
-    c = d.complex
-    new_faces = {fid: c.reverse(cycle) for fid, cycle in c.faces.items()}
-    new_contours = tuple(c.reverse(cycle) for cycle in d.map.contours)
-    return Diagram(DiagramMap(replace(c, faces=new_faces), new_contours), d.labels)
+    return replace(
+        d,
+        faces={fid: d.reverse(cycle) for fid, cycle in d.faces.items()},
+        contours=tuple(map(d.reverse, d.contours)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -734,13 +693,11 @@ def _diagram(
     origin = tuple(map(vertex_of.get, froms))
     cycles = {fid: _numbered(dart_of, cycle) for fid, cycle in faces}
     contours = tuple(_numbered(dart_of, cycle) for cycle in contours)
-    complex = Complex2(vertices, tuple(dart_of), inv, origin, cycles)
-    return Diagram(DiagramMap(complex, contours), labels)
+    return Diagram(vertices, tuple(dart_of), inv, origin, labels, cycles, contours)
 
 
 def diagram_to_dict(d: Diagram) -> dict:
-    c = d.complex
-    ids, vertices, inv, origin = c.dart_ids, c.vertices, c.inv, c.origin
+    ids, vertices, inv, origin = d.dart_ids, d.vertices, d.inv, d.origin
     text = {code: str(Word.from_code(code)) for code in set(d.labels)}
     return {
         "vertices": sorted(vertices, key=str),
@@ -756,9 +713,9 @@ def diagram_to_dict(d: Diagram) -> dict:
         ],
         "faces": [
             {"id": fid, "cycle": [ids[k] for k in cycle]}
-            for fid, cycle in sorted(c.faces.items(), key=lambda kv: str(kv[0]))
+            for fid, cycle in sorted(d.faces.items(), key=lambda kv: str(kv[0]))
         ],
-        "contours": [[ids[k] for k in cycle] for cycle in d.map.contours],
+        "contours": [[ids[k] for k in cycle] for cycle in d.contours],
     }
 
 
@@ -786,7 +743,7 @@ def diagram_from_dict(data: dict, n: int | None = None) -> Diagram:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"bad diagram data: {exc}") from exc
-    for k, j in enumerate(d.complex.inv):
+    for k, j in enumerate(d.inv):
         if j is not None and tos[k] != froms[j]:
             raise DiagramError(
                 f"dart {ids[k]!r} ends at {tos[k]!r}, "
@@ -796,8 +753,12 @@ def diagram_from_dict(data: dict, n: int | None = None) -> Diagram:
 
 
 def load_diagram(path: str, n: int | None = None) -> Diagram:
-    with open(path) as fh:
-        return diagram_from_dict(json.load(fh), n)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DiagramError(f"cannot read {path}: {exc}") from exc
+    return diagram_from_dict(data, n)
 
 
 # ---------------------------------------------------------------------------
@@ -845,9 +806,8 @@ def sphere_double(word: Word) -> Diagram:
     """Spherical diagram: two faces reading word and word^-1 glued along
     their entire shared boundary circle; the canonical cancellable pair."""
     base = polygon_diagram(word, face_id="front")
-    c = base.complex
-    faces = {"front": c.faces["front"], "back": base.map.contours[0]}
-    return Diagram(DiagramMap(replace(c, faces=faces), ()), base.labels)
+    faces = {"front": base.faces["front"], "back": base.contours[0]}
+    return replace(base, faces=faces, contours=())
 
 
 def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram:
@@ -859,16 +819,15 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
     partition); `word` must therefore begin with the labels of the shared
     contour segment.  The old darts and vertices keep their numbers.
     """
-    if not d.map.is_disc:
+    if not d.is_disc:
         raise DiagramError("gluing expects a disc diagram")
     code = word.code()
     k = len(code)
     if not 0 < overlap < k:
         raise DiagramError("overlap must be a proper nonempty boundary segment")
-    contour = d.map.contours[0]
+    contour = d.contours[0]
     if overlap > len(contour):
         raise DiagramError("overlap exceeds contour length")
-    c = d.complex
 
     shared = contour[:overlap]
     for j, dart in enumerate(shared):
@@ -880,9 +839,9 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
 
     # the fresh part of the face runs from the end of the shared segment
     # back to its start, through k - overlap - 1 new vertices
-    ids, vertices = c.dart_ids, c.vertices
+    ids, vertices = d.dart_ids, d.vertices
     fresh_vertices = tuple(f"{face_id}_v{j}" for j in range(k - overlap - 1))
-    stops = [vertices[c.terminus[shared[-1]]], *fresh_vertices, vertices[c.origin[shared[0]]]]
+    stops = [vertices[d.terminus[shared[-1]]], *fresh_vertices, vertices[d.origin[shared[0]]]]
     darts, invs, froms, labels = _path(
         code[overlap:], stops, lambda j: f"{face_id}_d{j + overlap}"
     )
@@ -890,13 +849,13 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
     def named(path) -> list:
         return [ids[dart] for dart in path]
 
-    faces = [(fid, named(cycle)) for fid, cycle in c.faces.items()]
+    faces = [(fid, named(cycle)) for fid, cycle in d.faces.items()]
     faces.append((face_id, named(shared) + darts[::2]))
     return _diagram(
         vertices + fresh_vertices,
-        named(range(len(c.inv))) + darts,
-        named(c.inv) + invs,
-        [vertices[v] for v in c.origin] + froms,
+        named(range(len(d.inv))) + darts,
+        named(d.inv) + invs,
+        [vertices[v] for v in d.origin] + froms,
         d.labels + labels,
         faces,
         [named(contour[overlap:]) + darts[::-2]],
@@ -905,13 +864,11 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
 
 def rotate_contour(d: Diagram, k: int) -> Diagram:
     """Shift the starting dart of a disc diagram's contour; same diagram."""
-    if not d.map.is_disc:
+    if not d.is_disc:
         raise DiagramError("contour rotation expects a disc diagram")
-    contour = d.map.contours[0]
+    contour = d.contours[0]
     k %= len(contour)
-    return Diagram(
-        DiagramMap(d.complex, (contour[k:] + contour[:k],)), d.labels
-    )
+    return replace(d, contours=(contour[k:] + contour[:k],))
 
 
 def random_diagram(relators: Sequence[Word], faces: int, rng) -> Diagram:
@@ -922,8 +879,8 @@ def random_diagram(relators: Sequence[Word], faces: int, rng) -> Diagram:
     variants = relator_variants(relators)
     d = polygon_diagram(Word.from_code(rng.choice(variants)), face_id="f0")
     for step in range(1, faces):
-        d = rotate_contour(d, rng.randrange(len(d.map.contours[0])))
-        contour = d.map.contours[0]
+        d = rotate_contour(d, rng.randrange(len(d.contours[0])))
+        contour = d.contours[0]
         placed = False
         overlaps = list(range(1, min(len(contour), max(len(r) for r in relators)) ))
         rng.shuffle(overlaps)

@@ -243,6 +243,66 @@ class TestTrustBoundary:
         assert code == 64
         assert out is None
 
+    UNREADABLE = {
+        "directory": None,
+        "utf-16 byte order mark": b"\xff\xfe{\x00}\x00",
+        "deep nesting": b"[" * 200000 + b"]" * 200000,
+        "5000-digit integer": b'{"n": ' + b"7" * 5000 + b"}",
+    }
+
+    @pytest.mark.parametrize("command", ["eq", "check-diagram"])
+    @pytest.mark.parametrize("case", list(UNREADABLE))
+    def test_unreadable_file_is_a_data_error(self, capsys, tmp_path, pres_file, command, case):
+        path = tmp_path / "unreadable"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(self.UNREADABLE[case])
+        if command == "eq":
+            argv = ["eq", "x1", "x1", "--presentation", str(path)]
+        else:
+            argv = ["check-diagram", str(path), "--presentation", pres_file]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "n not a number",
+            "relator beyond x_n",
+            "lambda1 of 2",
+            "a list",
+            "n infinite",
+            "lambda1 infinite",
+        ],
+    )
+    def test_malformed_presentation_is_a_data_error(
+        self, capsys, tmp_path, toy_presentation, case
+    ):
+        data = toy_presentation.as_dict()
+        if case == "n not a number":
+            data["n"] = "abc"
+        elif case == "relator beyond x_n":
+            data["relators"][0]["w"] = "x9"
+        elif case == "lambda1 of 2":
+            data["lambda1"] = "2"
+        elif case == "a list":
+            data = [1, 2]
+        elif case == "n infinite":
+            data["n"] = float("inf")
+        else:
+            data["lambda1"] = float("inf")
+        path = tmp_path / "pres.json"
+        path.write_text(json.dumps(data))
+        code = main(["eq", "x1", "x1", "--presentation", str(path)])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
     @pytest.mark.parametrize("label", ["y3", "q5^-1", "x0", "x1^2", "x4", "x4^-1", "x1 x2", "", 5])
     def test_bad_dart_label(self, capsys, tmp_path, pres_file, toy_presentation, label):
         from filebasis import diagram as dg

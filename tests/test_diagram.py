@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby
 
@@ -24,7 +26,7 @@ def toy_face(toy_relator):
 def glue_second_face(d, relator, inverted=False):
     """Attach a second face along the first contour dart, reading the
     relator (or its inverse) from a rotation that fits."""
-    contour = d.map.contours[0]
+    contour = d.contours[0]
     shared = d.labels[contour[0]]
     base = relator.inverse().code() if inverted else relator.code()
     for k in range(len(base)):
@@ -116,7 +118,7 @@ class TestValidate:
         d = dg.degenerate_path_diagram(parse_word("x1", 3))
         report = dg.validate_diagram(d, [toy_relator])
         assert report.ok
-        assert d.map.is_degenerate
+        assert d.is_degenerate
 
     def test_broken_involution_located(self, toy_face, toy_relator):
         data = dg.diagram_to_dict(toy_face)
@@ -126,8 +128,8 @@ class TestValidate:
         assert any("d0+" in i.location or "d1-" in i.location for i in report.issues)
 
     def test_duplicated_dart_located(self, toy_face, toy_relator):
-        contour = toy_face.map.contours[0] + (toy_face.complex.faces["f0"][0],)
-        bad = dg.Diagram(dg.DiagramMap(toy_face.complex, (contour,)), toy_face.labels)
+        contour = toy_face.contours[0] + (toy_face.faces["f0"][0],)
+        bad = replace(toy_face, contours=(contour,))
         report = dg.validate_diagram(bad, [toy_relator])
         assert not report.ok
         assert any("appears 2 times" in i.message for i in report.issues)
@@ -155,7 +157,7 @@ class TestSpecialSelection:
         fs = sel.per_face["f0"]
         assert fs.length == 15
         assert Fraction(fs.length) > Fraction(3, 4) * len(toy_relator)
-        label = "".join(toy_face.labels[d] for d in fs.darts(toy_face.complex))
+        label = "".join(toy_face.labels[d] for d in fs.darts(toy_face))
         assert label == encode([(1, 5), (2, 5), (3, 5)])
 
     def test_uniqueness_scan(self, toy_relator):
@@ -173,7 +175,7 @@ class TestSpecialSelection:
         m = dg.mirror_copy(toy_face)
         sel = dg.special_selection(m, 3)
         fs = sel.per_face["f0"]
-        label = "".join(m.labels[d] for d in fs.darts(m.complex))
+        label = "".join(m.labels[d] for d in fs.darts(m))
         assert label == encode([(3, -5), (2, -5), (1, -5)])
 
     def test_no_selection_on_foreign_face(self):
@@ -214,7 +216,7 @@ class TestCancellable:
         for relator in (toy_relator, theorem_relator):
             s = dg.sphere_double(relator)
             assert dg.validate_diagram(s, [relator]).ok
-            assert s.map.is_spherical
+            assert s.is_spherical
             pairs = dg.find_immediately_cancellable(s)
             assert pairs == [frozenset({"back", "front"})], len(relator)
 
@@ -232,24 +234,23 @@ class TestCancellable:
 class TestArcs:
     def test_partition(self, toy_face, toy_relator):
         d2 = glue_second_face(toy_face, toy_relator)
-        arcs = dg.maximal_arcs(d2.map)
+        arcs = dg.maximal_arcs(d2)
         covered = [dart for arc in arcs for dart in arc]
         assert len(covered) == len(set(covered))
         # one dart per edge
-        assert len(covered) == d2.complex.edge_count()
+        assert len(covered) == d2.edge_count()
 
     def test_intermediate_degrees(self, toy_face, toy_relator):
         d2 = glue_second_face(toy_face, toy_relator)
-        c = d2.complex
-        for arc in dg.maximal_arcs(d2.map):
+        for arc in dg.maximal_arcs(d2):
             for dart in arc[1:]:
-                assert c.degree(c.origin[dart]) == 2
+                assert len(d2.out_darts[d2.origin[dart]]) == 2
 
     def test_closed_cycle_arc(self, toy_face):
         # a lone polygon is a closed degree-2 cycle: one closed arc
-        arcs = dg.maximal_arcs(toy_face.map)
+        arcs = dg.maximal_arcs(toy_face)
         assert len(arcs) == 1
-        assert len(arcs[0]) == toy_face.complex.edge_count()
+        assert len(arcs[0]) == toy_face.edge_count()
 
 
 class TestConditions:
@@ -270,14 +271,14 @@ class TestConditions:
 
     def test_condition_X_one_face(self, toy_face, toy_params):
         sel = dg.special_selection(toy_face, 3)
-        ok, met = dg.check_condition_X(toy_face.map, sel, toy_params.mu)
+        ok, met = dg.check_condition_X(toy_face, sel, toy_params.mu)
         assert ok
         assert met == dg.DiagramMetrics(S=15, Sigma=17, E=17, F=1)
 
     def test_condition_X_rejects_non_semisimple(self, toy_relator):
         d = dg.degenerate_path_diagram(parse_word("x1", 3))
         with pytest.raises(dg.DiagramError):
-            dg.check_condition_X(d.map, dg.Selection({}), Fraction(1, 2))
+            dg.check_condition_X(d, dg.Selection({}), Fraction(1, 2))
 
     def test_main_lemma_theorem_scale_face(self, theorem_params):
         from filebasis.construction import build_relator
@@ -295,10 +296,7 @@ class TestConditions:
         assert Fraction(met.S) >= (1 - 2 * theorem_params.mu) * met.Sigma
 
     def test_main_lemma_too_many_contours(self, toy_face, toy_params):
-        c = toy_face.complex
-        quad = dg.Diagram(
-            dg.DiagramMap(c, toy_face.map.contours * 4), toy_face.labels
-        )
+        quad = replace(toy_face, contours=toy_face.contours * 4)
         with pytest.raises(dg.DiagramError):
             dg.check_main_lemma(quad, dg.Selection({}), toy_params)
 
@@ -323,20 +321,20 @@ class TestConditions:
 
 class TestSubmaps:
     def test_semisimple_map_single_component(self, toy_face):
-        subs = dg.maximal_semisimple_submaps(toy_face.map)
+        subs = dg.maximal_semisimple_submaps(toy_face)
         with_faces = [s for s in subs if s.faces]
         assert len(with_faces) == 1
         assert with_faces[0].faces == frozenset({"f0"})
 
     def test_degenerate_components_are_vertices(self):
         d = dg.degenerate_path_diagram(parse_word("x1 x2", 3))
-        subs = dg.maximal_semisimple_submaps(d.map)
+        subs = dg.maximal_semisimple_submaps(d)
         assert all(not s.faces and not s.darts for s in subs)
-        assert sum(len(s.vertices) for s in subs) == len(d.complex.vertices)
+        assert sum(len(s.vertices) for s in subs) == len(d.vertices)
 
     def test_every_face_in_exactly_one(self, toy_face, toy_relator):
         d2 = glue_second_face(toy_face, toy_relator)
-        subs = dg.maximal_semisimple_submaps(d2.map)
+        subs = dg.maximal_semisimple_submaps(d2)
         counts = {}
         for s in subs:
             for f in s.faces:
@@ -350,9 +348,9 @@ class TestSubmaps:
             d = dg.random_diagram(rels, rng.randrange(1, 5), rng)
             sel = dg.special_selection(d, 3)
             met = dg.metrics(d, sel)
-            subs = dg.maximal_semisimple_submaps(d.map)
+            subs = dg.maximal_semisimple_submaps(d)
             total_sigma = sum(
-                dg.submap_condition_X(d.map, s, sel, toy_params.mu)[1].Sigma
+                dg.submap_condition_X(d, s, sel, toy_params.mu)[1].Sigma
                 for s in subs
             )
             assert total_sigma == met.Sigma
@@ -364,12 +362,12 @@ class TestSubmaps:
         compared = 0
         for _ in range(50):
             d = dg.random_diagram(rels, rng.randrange(1, 7), rng)
-            subs = dg.maximal_semisimple_submaps(d.map)
-            if not dg.is_semisimple(d.map) or len(subs) != 1:
+            subs = dg.maximal_semisimple_submaps(d)
+            if not dg.is_semisimple(d) or len(subs) != 1:
                 continue
             for sel in (dg.special_selection(d, 3), dg.Selection({})):
-                whole = dg.check_condition_X(d.map, sel, toy_params.mu)
-                assert whole == dg.submap_condition_X(d.map, subs[0], sel, toy_params.mu)
+                whole = dg.check_condition_X(d, sel, toy_params.mu)
+                assert whole == dg.submap_condition_X(d, subs[0], sel, toy_params.mu)
             compared += 1
         assert compared == 50
 
@@ -401,10 +399,69 @@ class TestRandomCorpus:
         rels = toy_presentation.relator_words()
         for _ in range(20):
             d = dg.random_diagram(rels, rng.randrange(1, 7), rng)
-            c = d.complex
-            chi = len(c.vertices) - c.edge_count() + len(c.faces) + len(d.map.contours)
+            chi = len(d.vertices) - d.edge_count() + len(d.faces) + len(d.contours)
             assert chi == 2
 
+
+# ---------------------------------------------------------------------------
+# exact condition counts on the acceptance corpus (60 weakly reduced discs,
+# random.Random(7)), recorded before the whole-map and submap counts were
+# merged.  One line a disc: metrics "S Sigma E F"; condition X and its
+# counts where the map is semisimple; the same for each maximal semisimple
+# submap; and per face, condition B's b0 b1 b2 and its double-selected arc
+# lengths.  The discs not listed read ONE_FACE.
+
+ONE_FACE = "15 17 17 1 | X+ 15 17 17 1 | sub+ 15 17 17 1 | f0 +-+ []"
+
+COUNTS_GOLDEN = {
+    2: "26 34 32 2 | X+ 26 34 32 2 | sub+ 26 34 32 2 | f0 +-+ [2] | f1 +-+ [2]",
+    9: "29 34 33 2 | X+ 29 34 33 2 | sub+ 29 34 33 2 | f0 +-+ [] | f1 +-+ []",
+    12: "26 34 32 2 | X+ 26 34 32 2 | sub+ 26 34 32 2 | f0 +-+ [2] | f1 +-+ [2]",
+    37: "29 34 33 2 | X+ 29 34 33 2 | sub+ 29 34 33 2 | f0 +-+ [] | f1 +-+ []",
+    43: "24 34 31 2 | X+ 24 34 31 2 | sub+ 24 34 31 2 | f0 +-+ [3] | f1 +-+ [3]",
+    45: (
+        "33 51 45 3 | X+ 33 51 45 3 | sub+ 33 51 45 3 "
+        "| f0 +-+ [3, 3] | f1 +-+ [3] | f2 +-+ [3]"
+    ),
+    46: "26 34 32 2 | X+ 26 34 32 2 | sub+ 26 34 32 2 | f0 +-+ [2] | f1 +-+ [2]",
+    48: "26 34 32 2 | X+ 26 34 32 2 | sub+ 26 34 32 2 | f0 +-+ [2] | f1 +-+ [2]",
+    51: "28 34 33 2 | X+ 28 34 33 2 | sub+ 28 34 33 2 | f0 +-+ [1] | f1 +-+ [1]",
+    55: "26 34 32 2 | X+ 26 34 32 2 | sub+ 26 34 32 2 | f0 +-+ [2] | f1 +-+ [2]",
+}
+
+
+def _counts_line(d, params):
+    def counts(met):
+        return f"{met.S} {met.Sigma} {met.E} {met.F}"
+
+    def sign(ok):
+        return "+" if ok else "-"
+
+    sel = dg.special_selection(d, params.n)
+    parts = [counts(dg.metrics(d, sel))]
+    if dg.is_semisimple(d):
+        ok, met = dg.check_condition_X(d, sel, params.mu)
+        parts.append(f"X{sign(ok)} {counts(met)}")
+    for sub in dg.maximal_semisimple_submaps(d):
+        ok, met = dg.submap_condition_X(d, sub, sel, params.mu)
+        parts.append(f"sub{sign(ok)} {counts(met)}")
+    for rep in dg.check_condition_B(d, sel, params.lambda1, params.lambda2):
+        arcs = re.search(r"double-selected arc lengths = (\[[^]]*\])", rep.detail).group(1)
+        parts.append(f"{rep.face} {sign(rep.b0)}{sign(rep.b1)}{sign(rep.b2)} {arcs}")
+    return " | ".join(parts)
+
+
+def test_condition_counts_golden(toy_presentation, toy_params):
+    rels = toy_presentation.relator_words()
+    rng = random.Random(7)
+    corpus = []
+    while len(corpus) < 60:
+        d = dg.random_diagram(rels, rng.randrange(1, 7), rng)
+        if dg.is_weakly_reduced(d):
+            corpus.append(d)
+    assert [_counts_line(d, toy_params) for d in corpus] == [
+        COUNTS_GOLDEN.get(k, ONE_FACE) for k in range(60)
+    ]
 
 # ---------------------------------------------------------------------------
 # exact builder output, recorded from the builders before they shared one

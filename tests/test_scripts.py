@@ -113,3 +113,23 @@ def test_diff_enum_queries(tmp_path):
         assert out["words"][:2] == ["", "x1"]
     relators = [json.loads(record["stdout"])["presentation"]["relators"] for record in records[4:]]
     assert [[rel["w"] for rel in rels] for rels in relators] == [["x2 x1"]] * 3
+
+
+def test_diff_disc_queries(tmp_path):
+    proc = run_script("diff_toy_queries.py", "--workloads", "discs", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 244  # 4 queries on each of 30 discs, 30 mirrors and one sphere
+    kinds = Counter()
+    for record in records:
+        assert (record["workload"], record["seed"]) == ("discs", None)
+        argv = record["argv"]
+        assert argv[0] == "check-diagram"
+        assert "<work>/presentation.json" in argv
+        condition = argv[argv.index("--condition") + 1] if "--condition" in argv else None
+        kinds[condition, record["code"]] += 1
+        if record["code"] != 65:
+            assert json.loads(record["stdout"])["validation"]["ok"]
+    # the toy faces fail condition B's length bound, which the main lemma requires
+    assert kinds == {(None, 0): 61, ("B", 1): 61, ("X", 0): 61, ("main-lemma", 65): 61}
+    assert len({record["argv"][1] for record in records}) == 61
