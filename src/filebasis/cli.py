@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import islice
 
 from . import construction, decision, diagram
 from .construction import ConstructionParams, MalformedParamsError, Presentation
@@ -200,8 +201,14 @@ def cmd_check_diagram(args) -> int:
             if not ok:
                 status = EX_NO
         elif args.condition == "main-lemma":
-            ok, met = diagram.check_main_lemma(d, sel, params)
-            result["main_lemma"] = {"passed": ok, "metrics": asdict(met)}
+            try:
+                ok, met = diagram.check_main_lemma(d, sel, params)
+                result["main_lemma"] = {"passed": ok, "metrics": asdict(met)}
+            except diagram.PreconditionError as exc:
+                # valid data outside the lemma's hypotheses: a no, not a data error
+                ok = False
+                result["condition_B"] = [asdict(r) for r in exc.reports]
+                result["main_lemma"] = {"passed": False, "precondition": str(exc)}
             if not ok:
                 status = EX_NO
     _emit(result)
@@ -209,11 +216,7 @@ def cmd_check_diagram(args) -> int:
 
 
 def cmd_enum_words(args) -> int:
-    words = []
-    for w in iter_reduced_words(args.n):
-        if len(words) >= args.count:
-            break
-        words.append(str(w))
+    words = [str(w) for w in islice(iter_reduced_words(args.n), args.count)]
     _emit({"n": args.n, "words": words})
     return EX_YES
 
@@ -270,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--presentation", required=True)
-    p.add_argument("--engine", choices=["diagram", "rewrite", "both"], default="diagram")
+    p.add_argument("--engine", choices=decision.ENGINES, default="diagram")
     p.add_argument("--witness", action="store_true")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_eq)
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nf", help="deg-lex-least regular word equal to the input")
     p.add_argument("g")
     p.add_argument("--presentation", required=True)
-    p.add_argument("--engine", choices=["diagram", "rewrite", "both"], default="diagram")
+    p.add_argument("--engine", choices=decision.ENGINES, default="diagram")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_nf)
 

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Sequence
 
 from . import decision
@@ -347,11 +348,7 @@ def next_w(
     """
     n = p.n
     presentation = Presentation(p, tuple(relators))
-    scanned = 0
-    for w in iter_reduced_words(n):
-        scanned += 1
-        if scanned > budget.max_states:
-            return decision.Outcome(decision.EXCEEDED)
+    for w in islice(iter_reduced_words(n), budget.max_states):
         if not _shape_ok(w, n):
             continue
         if not relators:
@@ -361,7 +358,7 @@ def next_w(
             return out
         if out.is_no:
             return decision.Outcome(decision.YES, witness=w)
-    raise AssertionError("unreachable: word enumeration is infinite")
+    return decision.Outcome(decision.EXCEEDED)
 
 
 def generate(

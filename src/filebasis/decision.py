@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, takewhile
 from math import ceil, floor
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -51,6 +52,7 @@ YES = "yes"
 NO = "no"
 EXCEEDED = "budget-exceeded"
 OBSTRUCTED = "abelianized obstruction"  # witness of a no from the abelian image
+ENGINES = ("diagram", "rewrite", "both")
 
 
 @dataclass(frozen=True)
@@ -139,28 +141,45 @@ def ab_obstructed(code: str, presentation: Presentation) -> bool:
 
 @dataclass
 class _SearchResult:
-    found: bool
-    trace: tuple = ()
-    area: int = 0
+    witness: Optional[FillWitness] = None
     complete: bool = True  # search space exhausted without hitting a cap
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
+
+
+def _filling(contour: str, trace: tuple = (), area: int = 0) -> FillWitness:
+    """The witness of a filling of contour by the faces trace inserts, whose
+    boundaries have total length area: 2 * edges = area + |contour|."""
+    return FillWitness(contour, trace, (area + len(contour)) // 2, area)
+
+
+def _verdict(witness: object, complete: bool) -> Outcome:
+    """yes with a witness; no only after a complete search; else budget-exceeded."""
+    if witness is not None:
+        return Outcome(YES, witness=witness)
+    return Outcome(NO if complete else EXCEEDED)
 
 
 def _fill_search(
     faces: Sequence[tuple[str, str]],
-    start: str,
+    contour: str,
     area_bound: int,
     budget: Budget,
 ) -> _SearchResult:
     """Dijkstra over canonical cyclic words; cost = accumulated face boundary length.
 
     faces pairs each relator variant, as the trace records it, with its
-    free reduction, which is what gets inserted (`reduced_variants`).
+    free reduction, which is what gets inserted (`reduced_variants`).  A
+    filling of the contour, which need not be reduced, comes back as its
+    witness.
     """
-    start = least_rotation(cyclic_reduce(start)[0])
+    start = least_rotation(cyclic_reduce(contour)[0])
     if not start:
-        return _SearchResult(found=True)
+        return _SearchResult(_filling(contour))
     if area_bound <= 0 or not faces:
-        return _SearchResult(found=False)
+        return _SearchResult()
     min_variant = min(len(variant) for variant, _ in faces)
     best: dict[str, int] = {start: 0}
     parent: dict[str, tuple] = {start: None}
@@ -197,7 +216,7 @@ def _fill_search(
                 core = cyclic_join(word, j, face)
                 if not core:
                     trace = _rebuild_trace(parent, word) + ((j, variant),)
-                    return _SearchResult(found=True, trace=trace, area=child_area)
+                    return _SearchResult(_filling(contour, trace, child_area))
                 if len(core) > budget.max_word_len:
                     complete = False
                     continue
@@ -206,11 +225,11 @@ def _fill_search(
                 if child_area < best.get(child, area_bound + 1):
                     if child not in best and len(best) >= budget.max_states:
                         # give up promptly rather than churn a capped frontier
-                        return _SearchResult(found=False, complete=False)
+                        return _SearchResult(complete=False)
                     best[child] = child_area
                     parent[child] = (word, j, variant)
                     heapq.heappush(heap, (child_area, child))
-    return _SearchResult(found=False, complete=complete)
+    return _SearchResult(complete=complete)
 
 
 def _rebuild_trace(parent: dict, word: str) -> tuple:
@@ -248,27 +267,16 @@ def in_C(
 ) -> Outcome:
     """Does a disc diagram over the relators with at most E edges have contour uv^-1?"""
     z = u.code() + v.inverse().code()
-    zlen = len(z)
     e_genuine = floor(E)
     if ab_obstructed(z, presentation):
         return Outcome(NO, witness=OBSTRUCTED)
     e_cap = min(e_genuine, budget.max_edges)
-    area_bound = 2 * e_cap - zlen
+    area_bound = 2 * e_cap - len(z)
     if area_bound < 0:
         # even a degenerate diagram needs |z|/2 edges
-        if 2 * e_genuine - zlen < 0:
-            return Outcome(NO)
-        return Outcome(EXCEEDED)
-    core = cyclic_reduce(z)[0]
-    if not core:
-        return Outcome(YES, witness=FillWitness(z, (), edges=zlen // 2, area=0))
-    result = _fill_search(presentation.faces, core, area_bound, budget)
-    if result.found:
-        edges = (result.area + zlen) // 2
-        return Outcome(YES, witness=FillWitness(z, result.trace, edges=edges, area=result.area))
-    if result.complete and e_cap == e_genuine:
-        return Outcome(NO)
-    return Outcome(EXCEEDED)
+        return _verdict(None, 2 * e_genuine < len(z))
+    result = _fill_search(presentation.faces, z, area_bound, budget)
+    return _verdict(result.witness, result.complete and e_cap == e_genuine)
 
 
 def d_edge_bound(presentation: Presentation, u: Word, v: Word) -> Fraction:
@@ -337,9 +345,7 @@ def rewrite_search(presentation: Presentation, u: Word, v: Word, budget: Budget)
                         return Outcome(
                             YES, witness=RewriteWitness(child, chains[0], chains[1])
                         )
-    if complete:
-        return Outcome(NO)
-    return Outcome(EXCEEDED)
+    return _verdict(None, complete)
 
 
 def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: Word, v: Word) -> bool:
@@ -373,27 +379,19 @@ def equals_in_G(
     function of the presentation (guaranteed at theorem scale, not at toy
     parameters).
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     if u == v:
-        return Outcome(YES, witness=FillWitness(u.code() + v.inverse().code(), (), len(u), 0))
-    if engine == "diagram":
-        return in_D(presentation, u, v, budget)
+        return Outcome(YES, witness=_filling(u.code() + v.inverse().code()))
     if engine == "rewrite":
         return rewrite_search(presentation, u, v, budget)
-    if engine == "both":
-        d = in_D(presentation, u, v, budget)
-        if d.is_yes or d.witness == OBSTRUCTED:
-            # insertions keep the abelian image in its lattice coset, so
-            # rewriting cannot reach a yes from an obstructed pair
-            return d
-        r = rewrite_search(presentation, u, v, budget)
-        if r.is_yes:
-            return r
-        if d.is_no:
-            return d
-        if r.is_no:
-            return r
-        return Outcome(EXCEEDED)
-    raise ValueError(f"unknown engine {engine!r}")
+    d = in_D(presentation, u, v, budget)
+    if engine == "diagram" or d.is_yes or d.witness == OBSTRUCTED:
+        # insertions keep the abelian image in its lattice coset, so
+        # rewriting cannot reach a yes from an obstructed pair
+        return d
+    r = rewrite_search(presentation, u, v, budget)
+    return d if d.is_no and not r.is_yes else r
 
 
 def regular_normal_form(
@@ -403,17 +401,17 @@ def regular_normal_form(
 
     The scan runs over the regular words up to the completeness length
     (n+1)|g| + n^4 L.  When max_word_len cuts it shorter, a scan that
-    matches nothing is budget-exceeded, not no.
+    matches nothing is budget-exceeded, not no.  So is a scan that
+    max_states cuts short.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     n = presentation.params.n
     bound = (n + 1) * len(g) + n**4 * presentation.max_relator_len
-    exceeded_any = bound > budget.max_word_len
+    complete = bound <= budget.max_word_len
     ab_g = ab_vector(g.code(), n)
-    scanned = 0
-    for u in iter_regular_words(n, min(bound, budget.max_word_len)):
-        scanned += 1
-        if scanned > budget.max_states:
-            return Outcome(EXCEEDED)
+    candidates = iter_regular_words(n, min(bound, budget.max_word_len))
+    for u in islice(candidates, budget.max_states):
         if engine != "rewrite":
             # a regular word's abelian image is its exponent vector; outside
             # the coset ab(g) + lattice, in_C answers an obstructed no
@@ -424,10 +422,9 @@ def regular_normal_form(
                 continue
         out = equals_in_G(presentation, u, g, budget, engine=engine)
         if out.is_yes:
-            return Outcome(YES, witness=u)
-        if out.exceeded:
-            exceeded_any = True
-    return Outcome(EXCEEDED) if exceeded_any else Outcome(NO)
+            return _verdict(u, True)
+        complete = complete and not out.exceeded
+    return _verdict(None, next(candidates, None) is None and complete)
 
 
 def _free_conjugacy(u: Word, v: Word) -> Optional[Word]:
@@ -455,7 +452,6 @@ def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) 
     s u s^-1 v^-1 with face area at most 2q(|u|+|v|) - |u| - |v|.
     """
     n = presentation.params.n
-    incomplete = False
 
     # Step 1: handle trivial inputs by the equality test.
     tu = equals_in_G(presentation, u, EMPTY, budget)
@@ -465,8 +461,7 @@ def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) 
         if eq.is_yes:
             return Outcome(YES, witness=ConjugacyWitness(EMPTY, eq.witness))
         return eq
-    if tu.exceeded or tv.exceeded:
-        incomplete = True
+    complete = not (tu.exceeded or tv.exceeded)
 
     # Free-group conjugacy is a sound fast path (degenerate annulus).
     s = _free_conjugacy(u, v)
@@ -479,48 +474,31 @@ def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) 
 
     bound_len = ceil(presentation.params.q * (len(u) + len(v)))
 
+    def short_words():
+        return takewhile(lambda w: len(w) <= bound_len, iter_reduced_words(n))
+
     # Step 2: trivial words up to the length bound (budget-capped).
     trivial_words: list[Word] = []
-    scanned = 0
-    words_complete = True
-    for w in iter_reduced_words(n):
-        if len(w) > bound_len:
-            break
-        scanned += 1
-        if scanned > budget.max_states:
-            words_complete = False
-            break
+    candidates = short_words()
+    for w in islice(candidates, budget.max_states):
         if not w:
             continue
         t = equals_in_G(presentation, w, EMPTY, budget)
         if t.is_yes:
             trivial_words.append(w)
-        elif t.exceeded:
-            words_complete = False
-    if not words_complete:
-        incomplete = True
+        complete = complete and not t.exceeded
+    complete = next(candidates, None) is None and complete
 
     # Steps 3-4: cut-annulus search over conjugators.  Every z below has
     # the abelian image of u v^-1, which passed the test above, and the
     # trivial words' images lie in the relator lattice: no z is obstructed.
     faces = reduced_variants(relator_variants(presentation.relator_words() + trivial_words))
     area_bound = 2 * bound_len - (len(u) + len(v))
-    scanned = 0
-    search_complete = True
-    for s in iter_reduced_words(n):
-        if len(s) > bound_len:
-            break
-        scanned += 1
-        if scanned > budget.max_states:
-            search_complete = False
-            break
+    candidates = short_words()
+    for s in islice(candidates, budget.max_states):
         z = free_reduce(s.code() + u.code() + s.inverse().code() + v.inverse().code())
         result = _fill_search(faces, z, area_bound, budget)
         if result.found:
-            witness = FillWitness(z, result.trace, edges=(result.area + len(z)) // 2, area=result.area)
-            return Outcome(YES, witness=ConjugacyWitness(s, witness))
-        if not result.complete:
-            search_complete = False
-    if incomplete or not search_complete:
-        return Outcome(EXCEEDED)
-    return Outcome(NO)
+            return _verdict(ConjugacyWitness(s, result.witness), True)
+        complete = complete and result.complete
+    return _verdict(None, next(candidates, None) is None and complete)

@@ -41,6 +41,15 @@ class DiagramError(ValueError):
     pass
 
 
+class PreconditionError(DiagramError):
+    """A valid map outside the main lemma's hypotheses; carries the map's
+    condition B reports."""
+
+    def __init__(self, message: str, reports: list) -> None:
+        super().__init__(message)
+        self.reports = reports
+
+
 @dataclass(frozen=True)
 class Diagram:
     """A labelled map over numbered darts and vertices, with its contours.
@@ -604,12 +613,15 @@ def submap_condition_X(
 
 def check_main_lemma(d: Diagram, sel: Selection, params) -> tuple[bool, DiagramMetrics]:
     """S >= (1 - 2*mu) * Sigma for a map with at most 3 contours whose
-    selection satisfies the per-face condition checks."""
+    selection satisfies the per-face condition checks; a map that does not
+    meet these hypotheses raises `PreconditionError`."""
+    reports = check_condition_B(d, sel, params.lambda1, params.lambda2)
     if len(d.contours) > 3:
-        raise DiagramError("more than 3 contours")
-    for rep in check_condition_B(d, sel, params.lambda1, params.lambda2):
+        raise PreconditionError("more than 3 contours", reports)
+    for rep in reports:
         if not (rep.b0 and rep.b1 and rep.b2):
-            raise DiagramError(f"face {rep.face!r} fails the per-face conditions: {rep.detail}")
+            message = f"face {rep.face!r} fails the per-face conditions: {rep.detail}"
+            raise PreconditionError(message, reports)
     met = metrics(d, sel)
     return Fraction(met.S) >= (1 - 2 * params.mu) * met.Sigma, met
 

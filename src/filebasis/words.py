@@ -305,27 +305,16 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         return Word.from_code(self.code() + other.code())
 
-    def conjugate_by(self, a: "Word") -> "Word":
-        """a * self * a^-1."""
-        return a * self * a.inverse()
-
     def cyclically_reduce(self) -> tuple["Word", "Word"]:
         """Return (core, conjugator) with self = conjugator * core * conjugator^-1."""
         core, conjugator = cyclic_reduce(self.code())
         return Word.from_code(core), Word.from_code(conjugator)
-
-    def is_cyclically_reduced(self) -> bool:
-        core, _ = self.cyclically_reduce()
-        return core == self
 
     # -- regularity ------------------------------------------------------
 
     def is_regular(self) -> bool:
         indices = [i for i, _ in self.runs]
         return all(a < b for a, b in zip(indices, indices[1:]))
-
-    def is_counter_regular(self) -> bool:
-        return self.inverse().is_regular()
 
     def relabel_mirror(self, n: int) -> "Word":
         """Replace each letter x_i^s by x_{n+1-i}^{-s}; involutive."""

@@ -13,6 +13,20 @@ def word_of(raw):
     return Word.from_code(encode(raw))
 
 
+def conjugate_by(g, a):
+    """a * g * a^-1."""
+    return a * g * a.inverse()
+
+
+def is_cyclically_reduced(word):
+    return word.cyclically_reduce()[0] == word
+
+
+def is_counter_regular(word):
+    """Regular read backwards: the inverse is regular."""
+    return word.inverse().is_regular()
+
+
 @pytest.fixture(scope="session")
 def toy_params():
     return ConstructionParams(3, Fraction(1, 15), 2)

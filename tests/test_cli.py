@@ -173,6 +173,16 @@ class TestCheckDiagram:
         rep = out["condition_B"][0]
         assert rep["b0"] and not rep["b1"]
 
+    def test_main_lemma_precondition_fails(self, run, pres_file, diagram_file):
+        code, out = run(
+            "check-diagram", diagram_file, "--presentation", pres_file, "--condition", "main-lemma"
+        )
+        assert code == 1  # valid data outside the lemma's hypotheses: a no, not exit 65
+        rep = out["condition_B"][0]
+        assert rep["b0"] and not rep["b1"]
+        assert out["main_lemma"]["passed"] is False
+        assert out["main_lemma"]["precondition"].startswith("face 'f0' fails")
+
     def test_invalid_diagram(self, run, pres_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"vertices": ["v0"], "darts": [], "faces": [], "contours": []}))
@@ -203,10 +213,19 @@ class TestCheckDiagram:
 
 
 class TestEnumWords:
+    FIRST = ["", "x1", "x1^-1", "x2", "x2^-1", "x3", "x3^-1", "x1^2", "x1 x2"]
+
     def test_first_words(self, run):
         code, out = run("enum-words", "--n", "3", "--count", "9")
         assert code == 0
-        assert out["words"] == ["", "x1", "x1^-1", "x2", "x2^-1", "x3", "x3^-1", "x1^2", "x1 x2"]
+        assert out["words"] == self.FIRST
+
+    @pytest.mark.parametrize("count", [8, 0])
+    def test_count_is_exact(self, run, count):
+        # the scan stops after exactly --count words
+        code, out = run("enum-words", "--n", "3", "--count", str(count))
+        assert code == 0
+        assert out["words"] == self.FIRST[:count]
 
     def test_roundtrip_parse(self, run):
         from filebasis.words import parse_word

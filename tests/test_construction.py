@@ -179,6 +179,14 @@ class TestGenerate:
         assert pres.truncated
         assert len(pres.relators) >= 1
 
+    def test_first_step_scan_boundary(self, toy_params):
+        # next_w's scan stops after max_states words; x2 x1 is the 18th
+        pres = generate(toy_params, 1, Budget(max_states=18))
+        assert [rel.w for rel in pres.relators] == [parse_word("x2 x1", 3)]
+        assert not pres.truncated
+        pres = generate(toy_params, 1, Budget(max_states=17))
+        assert pres.relators == () and pres.truncated
+
     def test_presentation_invariants(self, toy_presentation, toy_params):
         problems = toy_presentation.validate()
         # the only expected violation at toy scale is the growth inequality

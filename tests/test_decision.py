@@ -6,7 +6,7 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
-from conftest import word_of
+from conftest import conjugate_by, word_of
 from hypothesis import example, given, settings, strategies as st
 
 from filebasis import construction, words
@@ -191,7 +191,7 @@ class TestRewrite:
 
     def test_conjugated_relator(self, toy_presentation, toy_budget):
         r1 = toy_presentation.relators[0].r
-        conj = r1.conjugate_by(w("x3 x1^-1"))
+        conj = conjugate_by(r1, w("x3 x1^-1"))
         out = rewrite_search(toy_presentation, conj, EMPTY, toy_budget)
         assert out.is_yes
         assert replay_rewrite(out.witness, toy_presentation, conj, EMPTY)
@@ -209,6 +209,12 @@ class TestEqualsInG:
     def test_unknown_engine(self, toy_presentation, toy_budget):
         with pytest.raises(ValueError):
             equals_in_G(toy_presentation, w("x1"), w("x2"), toy_budget, engine="nope")
+        # rejected on entry, also where no engine would run: equal words, and
+        # a scan that max_states ends before it tests a candidate
+        with pytest.raises(ValueError):
+            equals_in_G(toy_presentation, w("x1"), w("x1"), Budget(), engine="nope")
+        with pytest.raises(ValueError):
+            regular_normal_form(toy_presentation, w("x2 x1"), Budget(max_states=3), engine="nope")
 
     def test_congruence_samples(self, toy_presentation, toy_budget, rng):
         for _ in range(20):
@@ -335,6 +341,37 @@ class TestConjugacy:
             shifted = Word.from_code(code[k:] + code[:k])
             out = are_conjugate(toy_presentation, u, shifted, budget)
             assert out.is_yes
+
+
+class TestScanBoundaries:
+    """Each budgeted scan stops after exactly max_states candidates: a budget
+    equal to the number of candidates scanned decides, one fewer cannot."""
+
+    FREE2 = Presentation(construction.ConstructionParams(2, Fraction(1, 15), 2))
+
+    def test_normal_form_scan(self):
+        # the 85 regular words over x1, x2 up to the completeness length 6
+        g = w("x2 x1", 2)
+        assert regular_normal_form(self.FREE2, g, Budget(max_states=85)) == dec.Outcome(NO)
+        assert regular_normal_form(self.FREE2, g, Budget(max_states=84)) == dec.Outcome(EXCEEDED)
+
+    @pytest.mark.parametrize("states, value", [(13121, NO), (13120, EXCEEDED)])
+    def test_conjugacy_trivial_word_scan(self, monkeypatch, states, value):
+        # [x1, x2] and [x1, x2^-1] are not conjugate in the free group; both
+        # scans run over the 13121 reduced words of length <= q(4 + 4) = 8
+        u, v = w("x1 x2 x1^-1 x2^-1", 2), w("x1 x2^-1 x1^-1 x2", 2)
+        calls = _counting(monkeypatch, "equals_in_G")
+        assert are_conjugate(self.FREE2, u, v, Budget(max_states=states)) == dec.Outcome(value)
+        # step 1 tests u and v, then the scan tests every candidate but the empty word
+        assert sum(1 for args in calls if args[2] == EMPTY) == 2 + states - 1
+
+    def test_conjugacy_annulus_scan(self, toy_presentation):
+        # x1^-1 (x1 x2) x1 = x2 x1 = x1^5 x2^5 x3^5 in G, and x1^-1 is the
+        # third conjugator the annulus scan tries
+        u, v = w("x1 x2"), w("x1^5 x2^5 x3^5")
+        out = are_conjugate(toy_presentation, u, v, Budget(max_states=3))
+        assert out.is_yes and out.witness.conjugator == w("x1^-1")
+        assert are_conjugate(toy_presentation, u, v, Budget(max_states=2)) == dec.Outcome(EXCEEDED)
 
 
 class TestAbelianization:
@@ -465,15 +502,15 @@ class TestExactLattice:
 # calls that engine "both" and the normal-form scan no longer make
 
 
-def _unpruned_fill_search(faces, start, area_bound, budget):
+def _unpruned_fill_search(faces, contour, area_bound, budget):
     """Reference filling search without the pruning of non-live variants:
     every variant runs the whole position loop, and only an empty child
     of a non-live variant counts."""
-    start = least_rotation(cyclic_reduce(start)[0])
+    start = least_rotation(cyclic_reduce(contour)[0])
     if not start:
-        return dec._SearchResult(found=True)
+        return dec._SearchResult(dec.FillWitness(contour, (), len(contour) // 2, 0))
     if area_bound <= 0 or not faces:
-        return dec._SearchResult(found=False)
+        return dec._SearchResult()
     min_variant = min(len(variant) for variant, _ in faces)
     best = {start: 0}
     parent = {start: None}
@@ -500,7 +537,8 @@ def _unpruned_fill_search(faces, start, area_bound, budget):
                 core = cyclic_join(word, j, face)
                 if not core:
                     trace = trace_to(word) + ((j, variant),)
-                    return dec._SearchResult(found=True, trace=trace, area=child_area)
+                    edges = (child_area + len(contour)) // 2
+                    return dec._SearchResult(dec.FillWitness(contour, trace, edges, child_area))
                 if not live:
                     continue
                 if len(core) > budget.max_word_len:
@@ -509,11 +547,11 @@ def _unpruned_fill_search(faces, start, area_bound, budget):
                 child = least_rotation(core)
                 if child_area < best.get(child, area_bound + 1):
                     if child not in best and len(best) >= budget.max_states:
-                        return dec._SearchResult(found=False, complete=False)
+                        return dec._SearchResult(complete=False)
                     best[child] = child_area
                     parent[child] = (word, j, variant)
                     heapq.heappush(heap, (child_area, child))
-    return dec._SearchResult(found=False, complete=complete)
+    return dec._SearchResult(complete=complete)
 
 
 def _faces(*relators):
@@ -559,9 +597,7 @@ class TestFillSearchPruning:
         faces, start, area_bound, budget = case
         pruned = dec._fill_search(faces, start, area_bound, budget)
         reference = _unpruned_fill_search(faces, start, area_bound, budget)
-        assert (pruned.found, pruned.trace, pruned.area, pruned.complete) == (
-            reference.found, reference.trace, reference.area, reference.complete
-        )
+        assert pruned == reference
 
     @pytest.mark.parametrize("name", sorted(FACE_SETS))
     def test_last_face_found_by_rotation(self, name):

@@ -297,8 +297,9 @@ class TestConditions:
 
     def test_main_lemma_too_many_contours(self, toy_face, toy_params):
         quad = replace(toy_face, contours=toy_face.contours * 4)
-        with pytest.raises(dg.DiagramError):
+        with pytest.raises(dg.PreconditionError, match="more than 3 contours") as info:
             dg.check_main_lemma(quad, dg.Selection({}), toy_params)
+        assert [rep.face for rep in info.value.reports] == ["f0"]
 
     def test_letter_budget_single_letter(self, toy_face):
         sel = dg.special_selection(toy_face, 3)

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to completion from a checkout."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_script(name, *args, cwd=None):
@@ -21,6 +23,17 @@ def run_script(name, *args, cwd=None):
         text=True,
         timeout=300,
     )
+
+
+def assert_golden(records, name):
+    """Compare each record's argv, exit code and stdout digest with the line
+    of tests/golden/<name>.jsonl recorded from `scripts/diff_toy_queries.py`
+    output, so that a changed answer fails and names its query."""
+    lines = (GOLDEN / f"{name}.jsonl").read_text().splitlines()
+    assert len(records) == len(lines)
+    for record, line in zip(records, lines):
+        digest = hashlib.sha256(record["stdout"].encode()).hexdigest()
+        assert [record["argv"], record["code"], digest] == json.loads(line), record["argv"]
 
 
 def test_check_theorem_scale(tmp_path):
@@ -49,6 +62,7 @@ def test_diff_toy_queries(tmp_path):
         assert "<work>/presentation.json" in record["argv"]
         assert record["code"] in (0, 1)
         assert json.loads(record["stdout"])["outcome"] in ("yes", "no")
+    assert_golden(records, "toy-eq-1")
 
 
 def test_diff_theorem_diagram_queries(tmp_path):
@@ -92,6 +106,7 @@ def test_diff_length3_queries(tmp_path):
         ("eq", "rewrite"): 186,
         ("conj", None): 186,
     }
+    assert_golden(records, "length3")
 
 
 def test_diff_enum_queries(tmp_path):
@@ -113,6 +128,7 @@ def test_diff_enum_queries(tmp_path):
         assert out["words"][:2] == ["", "x1"]
     relators = [json.loads(record["stdout"])["presentation"]["relators"] for record in records[4:]]
     assert [[rel["w"] for rel in rels] for rels in relators] == [["x2 x1"]] * 3
+    assert_golden(records, "enum")
 
 
 def test_diff_disc_queries(tmp_path):
@@ -128,8 +144,8 @@ def test_diff_disc_queries(tmp_path):
         assert "<work>/presentation.json" in argv
         condition = argv[argv.index("--condition") + 1] if "--condition" in argv else None
         kinds[condition, record["code"]] += 1
-        if record["code"] != 65:
-            assert json.loads(record["stdout"])["validation"]["ok"]
+        assert json.loads(record["stdout"])["validation"]["ok"]
     # the toy faces fail condition B's length bound, which the main lemma requires
-    assert kinds == {(None, 0): 61, ("B", 1): 61, ("X", 0): 61, ("main-lemma", 65): 61}
+    assert kinds == {(None, 0): 61, ("B", 1): 61, ("X", 0): 61, ("main-lemma", 1): 61}
     assert len({record["argv"][1] for record in records}) == 61
+    assert_golden(records, "discs")
