@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from filebasis.construction import ConstructionParams, generate, validate_params
 from filebasis.decision import Budget, are_conjugate, equals_in_G, regular_normal_form
-from filebasis.words import EMPTY, parse_word
+from filebasis.words import parse_word, word_text
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
     pres = generate(params, 1, budget)
     print(f"\ngenerated {len(pres.relators)} relator(s) in {time.time() - t0:.3f}s")
     for rel in pres.relators:
-        print(f"  r_{rel.i} = {rel.r}   (m={rel.m}, |r|={len(rel.r)})")
+        print(f"  r_{rel.i} = {word_text(rel.r)}   (m={rel.m}, |r|={len(rel.r)})")
 
     with open(out_path, "w") as fh:
         fh.write(pres.dumps())
@@ -39,7 +39,7 @@ def main():
     print("\ndecision procedure samples:")
     r1 = pres.relators[0].r
     samples = [
-        ("eq", r1, EMPTY),
+        ("eq", r1, ""),
         ("eq", parse_word("x1", 3), parse_word("x2", 3)),
         ("conj", parse_word("x1 x2", 3), parse_word("x2 x1", 3)),
     ]
@@ -49,11 +49,12 @@ def main():
             out = equals_in_G(pres, u, v, budget)
         else:
             out = are_conjugate(pres, u, v, budget)
-        print(f"  {kind}({u or 'empty'}, {v or 'empty'}) -> {out.value}  [{time.time() - t0:.3f}s]")
+        u, v = word_text(u) or "empty", word_text(v) or "empty"
+        print(f"  {kind}({u}, {v}) -> {out.value}  [{time.time() - t0:.3f}s]")
 
     t0 = time.time()
     nf = regular_normal_form(pres, parse_word("x2 x1", 3), budget)
-    print(f"  nf(x2 x1) -> {nf.value}: {nf.witness}  [{time.time() - t0:.3f}s]")
+    print(f"  nf(x2 x1) -> {nf.value}: {word_text(nf.witness or '')}  [{time.time() - t0:.3f}s]")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from fractions import Fraction
 from filebasis import diagram as dg
 from filebasis.construction import ConstructionParams, generate, validate_params
 from filebasis.decision import Budget
+from filebasis.words import word_runs, word_text
 
 
 def main():
@@ -26,7 +27,8 @@ def main():
     pres = generate(params, 1, budget)
     rel = pres.relators[0]
     print(f"\nfirst relator in {time.time() - t0:.3f}s:")
-    print(f"  w_1 = {rel.w}, m_1 = {rel.m}, |r_1| = {len(rel.r)}, runs = {len(rel.r.runs)}")
+    runs = len(word_runs(rel.r))
+    print(f"  w_1 = {word_text(rel.w)}, m_1 = {rel.m}, |r_1| = {len(rel.r)}, runs = {runs}")
     assert len(rel.r) == 63 * rel.m + len(rel.w)
     print(f"  violations: {pres.validate() or 'none'}")
 

@@ -1,15 +1,14 @@
 """Group presentations with regular normal-form bases: word algebra,
 relator construction, diagram checkers, budgeted decision procedures."""
 
-from .words import EMPTY, Word, parse_word
+from .words import parse_word, word_text
 from .construction import ConstructionParams, Presentation, Relator, build_relator, generate, validate_params
 from .decision import Budget, Outcome, are_conjugate, equals_in_G, regular_normal_form
 from .diagram import Diagram, Selection, special_selection, validate_diagram
 
 __all__ = [
-    "EMPTY",
-    "Word",
     "parse_word",
+    "word_text",
     "ConstructionParams",
     "Presentation",
     "Relator",

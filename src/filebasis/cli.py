@@ -17,7 +17,7 @@ from itertools import islice
 from . import construction, decision, diagram
 from .construction import ConstructionParams, MalformedParamsError, Presentation
 from .decision import Budget, Outcome
-from .words import MalformedWordError, Word, iter_reduced_words, parse_word
+from .words import MalformedWordError, iter_reduced_words, parse_word, word_text
 
 EX_YES = 0
 EX_NO = 1
@@ -73,18 +73,12 @@ def _outcome_exit(out: Outcome) -> int:
 def _witness_dict(witness) -> object:
     if witness is None:
         return None
-    if isinstance(witness, Word):
-        return str(witness)
-
-    def text(code: str) -> str:
-        return str(Word.from_code(code))
-
     if isinstance(witness, decision.FillWitness):
         return {
             "kind": "filling",
-            "contour": text(witness.contour),
+            "contour": word_text(witness.contour),
             "trace": [
-                {"position": j, "face_label": text(variant)} for j, variant in witness.trace
+                {"position": j, "face_label": word_text(variant)} for j, variant in witness.trace
             ],
             "edges": witness.edges,
             "area": witness.area,
@@ -92,14 +86,14 @@ def _witness_dict(witness) -> object:
     if isinstance(witness, decision.RewriteWitness):
         return {
             "kind": "rewriting",
-            "meeting_point": text(witness.meeting_point),
-            "steps_from_u": [text(s) for s in witness.steps_from_u],
-            "steps_from_v": [text(s) for s in witness.steps_from_v],
+            "meeting_point": word_text(witness.meeting_point),
+            "steps_from_u": [word_text(s) for s in witness.steps_from_u],
+            "steps_from_v": [word_text(s) for s in witness.steps_from_v],
         }
     if isinstance(witness, decision.ConjugacyWitness):
         return {
             "kind": "conjugacy",
-            "conjugator": str(witness.conjugator),
+            "conjugator": word_text(witness.conjugator),
             "certificate": _witness_dict(witness.certificate),
         }
     return str(witness)
@@ -161,7 +155,7 @@ def cmd_nf(args) -> int:
     out = decision.regular_normal_form(pres, g, _budget_from_args(args), engine=args.engine)
     result = {"outcome": out.value}
     if out.is_yes:
-        result["normal_form"] = str(out.witness)
+        result["normal_form"] = word_text(out.witness)
     _emit(result)
     return _outcome_exit(out)
 
@@ -196,8 +190,12 @@ def cmd_check_diagram(args) -> int:
             if not all(r.b0 and r.b1 and r.b2 for r in reports):
                 status = EX_NO
         elif args.condition == "X":
-            ok, met = diagram.check_condition_X(d, sel, params.mu)
-            result["condition_X"] = {"passed": ok, "metrics": asdict(met)}
+            try:
+                ok, met = diagram.check_condition_X(d, sel, params.mu)
+                result["condition_X"] = {"passed": ok, "metrics": asdict(met)}
+            except diagram.PreconditionError as exc:
+                ok = False
+                result["condition_X"] = {"passed": False, "precondition": str(exc)}
             if not ok:
                 status = EX_NO
         elif args.condition == "main-lemma":
@@ -216,7 +214,7 @@ def cmd_check_diagram(args) -> int:
 
 
 def cmd_enum_words(args) -> int:
-    words = [str(w) for w in islice(iter_reduced_words(args.n), args.count)]
+    words = [word_text(w) for w in islice(iter_reduced_words(args.n), args.count)]
     _emit({"n": args.n, "words": words})
     return EX_YES
 

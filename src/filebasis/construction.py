@@ -18,12 +18,18 @@ from typing import Sequence
 
 from . import decision
 from .words import (
-    Word,
     ab_vector,
+    cyclic_reduce,
+    encode,
+    free_reduce,
+    invert,
+    is_regular,
     iter_reduced_words,
     parse_word,
     reduced_variants,
     relator_variants,
+    word_runs,
+    word_text,
 )
 
 
@@ -33,28 +39,6 @@ class MalformedParamsError(ValueError):
 
 class ConstructionError(ValueError):
     pass
-
-
-_Q_MAX_DEN = 10**6
-
-
-def least_rational_geq(x: Fraction, max_den: int) -> Fraction:
-    """The least rational >= x with denominator at most max_den."""
-    if x.denominator <= max_den:
-        return x
-    lo = x.limit_denominator(max_den)
-    if lo >= x:
-        return lo
-    # lo = a/b is the best approximation from below; its right Farey
-    # neighbour c/d with the largest d <= max_den satisfies c*b - a*d = 1.
-    a, b = lo.numerator, lo.denominator
-    if b == 1:
-        return Fraction(a * max_den + 1, max_den)
-    # solve a*d = -1 (mod b), then push d as high as possible under max_den
-    d = (-pow(a, -1, b)) % b
-    d += ((max_den - d) // b) * b
-    c = (1 + a * d) // b
-    return Fraction(c, d)
 
 
 @dataclass(frozen=True)
@@ -85,7 +69,7 @@ class ConstructionParams:
 
     @cached_property
     def q(self) -> Fraction:
-        """Isoperimetric constant: least rational >= 1/(1-2*mu), denominator-capped.
+        """Isoperimetric constant q = 1/(1-2*mu), an exact rational.
 
         When mu >= 1/2 the bound 1/(1-2*mu) is meaningless (negative or
         infinite), which happens at toy alphabet sizes; q then falls back
@@ -93,7 +77,7 @@ class ConstructionParams:
         """
         if self.mu >= Fraction(1, 2):
             return Fraction(1)
-        return least_rational_geq(1 / (1 - 2 * self.mu), _Q_MAX_DEN)
+        return 1 / (1 - 2 * self.mu)
 
 
 @dataclass(frozen=True)
@@ -164,19 +148,21 @@ def validate_params(p: ConstructionParams) -> ParamReport:
 
 @dataclass(frozen=True)
 class Relator:
+    """Relator i, r = x_1^m ... x_n^m w^-1, with w and r as code strings."""
+
     i: int
-    w: Word
+    w: str
     m: int
-    r: Word
+    r: str
 
 
-def regular_head(n: int, m: int) -> Word:
+def regular_head(n: int, m: int) -> str:
     """The word x_1^m x_2^m ... x_n^m."""
-    return Word(tuple((j, m) for j in range(1, n + 1)))
+    return encode((j, m) for j in range(1, n + 1))
 
 
-def build_relator(p: ConstructionParams, i: int, w: Word) -> Relator:
-    """Assemble relator i from its word w; m = N|w| + i.
+def build_relator(p: ConstructionParams, i: int, w: str) -> Relator:
+    """Assemble relator i from the free reduction of its word w; m = N|w| + i.
 
     Structural identities are asserted.  Shape and growth constraints on w
     are not: `check_relator` names their violations, since toy parameter
@@ -185,10 +171,11 @@ def build_relator(p: ConstructionParams, i: int, w: Word) -> Relator:
     """
     if i < 1:
         raise ConstructionError(f"relator index must be positive, got {i}")
-    if w.max_index() > p.n:
+    w = free_reduce(w)
+    if any(index > p.n for index, _ in word_runs(w)):
         raise ConstructionError("w uses letters outside the alphabet")
     m = p.N * len(w) + i
-    r = regular_head(p.n, m) * w.inverse()
+    r = free_reduce(regular_head(p.n, m) + invert(w))
     rel = Relator(i=i, w=w, m=m, r=r)
     if len(r) != p.n * m + len(w):
         raise ConstructionError("relator length does not match n*m + |w|")
@@ -200,19 +187,18 @@ def check_relator(p: ConstructionParams, rel: Relator) -> list[str]:
     problems = []
     if rel.m != p.N * len(rel.w) + rel.i:
         problems.append("exponent is not N|w| + i")
-    if rel.r != regular_head(p.n, rel.m) * rel.w.inverse():
+    if rel.r != free_reduce(regular_head(p.n, rel.m) + invert(rel.w)):
         problems.append("relator is not x_1^m...x_n^m w^-1")
     if len(rel.r) != p.n * rel.m + len(rel.w):
         problems.append("length identity n*m + |w| fails")
-    core, _ = rel.r.cyclically_reduce()
-    if core != rel.r:
+    if cyclic_reduce(rel.r)[0] != rel.r:
         problems.append("relator is not cyclically reduced")
-    runs = rel.w.runs
+    runs = word_runs(rel.w)
     if runs and runs[0][0] == 1:
         problems.append("w starts with x_1^{+-1}")
     if runs and runs[-1][0] == p.n:
         problems.append("w ends with x_n^{+-1}")
-    if rel.w.is_regular():
+    if is_regular(rel.w):
         problems.append("w is regular")
     if p.lambda1 * (p.n * rel.m + len(rel.w)) < len(rel.w):
         problems.append("growth inequality l1*(n*m + |w|) >= |w| fails")
@@ -239,7 +225,7 @@ class Presentation:
             problems.append("relator lengths are not nondecreasing")
         return problems
 
-    def relator_words(self) -> list[Word]:
+    def relator_words(self) -> list[str]:
         return [rel.r for rel in self.relators]
 
     # -- search data, computed once per presentation ----------------------
@@ -261,7 +247,7 @@ class Presentation:
         zero before its pivot and positive at it.  Built column by column by
         Euclid's algorithm on the live rows; zero images drop out."""
         n = self.params.n
-        rows = [list(ab_vector(r.code(), n)) for r in self.relator_words()]
+        rows = [list(ab_vector(r, n)) for r in self.relator_words()]
         basis = []
         for col in range(n):
             live = [row for row in rows if row[col]]
@@ -291,7 +277,7 @@ class Presentation:
             "lambda1": str(self.params.lambda1),
             "N": self.params.N,
             "relators": [
-                {"i": rel.i, "w": str(rel.w), "m": rel.m, "r": str(rel.r)}
+                {"i": rel.i, "w": word_text(rel.w), "m": rel.m, "r": word_text(rel.r)}
                 for rel in self.relators
             ],
         }
@@ -329,8 +315,9 @@ class Presentation:
         return Presentation.from_dict(json.loads(text))
 
 
-def _shape_ok(w: Word, n: int) -> bool:
-    return bool(w) and w.runs[0][0] != 1 and w.runs[-1][0] != n and not w.is_regular()
+def _shape_ok(w: str, n: int) -> bool:
+    runs = word_runs(w)
+    return bool(runs) and runs[0][0] != 1 and runs[-1][0] != n and not is_regular(w)
 
 
 def next_w(

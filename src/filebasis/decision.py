@@ -28,12 +28,11 @@ from math import ceil, floor
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .words import (
-    EMPTY,
-    Word,
     ab_vector,
     cyclic_insert,
     cyclic_join,
     cyclic_reduce,
+    encode,
     free_reduce,
     insert,
     invert,
@@ -108,7 +107,7 @@ class RewriteWitness:
 
 @dataclass(frozen=True)
 class ConjugacyWitness:
-    conjugator: Word
+    conjugator: str
     certificate: object = None  # fill witness for s u s^-1 v^-1, if a filling was needed
 
 
@@ -263,10 +262,10 @@ def replay_fill(witness: FillWitness, presentation: Presentation) -> bool:
 
 
 def in_C(
-    presentation: Presentation, E: Fraction | int, u: Word, v: Word, budget: Budget
+    presentation: Presentation, E: Fraction | int, u: str, v: str, budget: Budget
 ) -> Outcome:
     """Does a disc diagram over the relators with at most E edges have contour uv^-1?"""
-    z = u.code() + v.inverse().code()
+    z = u + invert(v)
     e_genuine = floor(E)
     if ab_obstructed(z, presentation):
         return Outcome(NO, witness=OBSTRUCTED)
@@ -279,12 +278,12 @@ def in_C(
     return _verdict(result.witness, result.complete and e_cap == e_genuine)
 
 
-def d_edge_bound(presentation: Presentation, u: Word, v: Word) -> Fraction:
+def d_edge_bound(presentation: Presentation, u: str, v: str) -> Fraction:
     q = presentation.params.q
     return Fraction(1 + q * presentation.max_relator_len, 2) * (len(u) + len(v))
 
 
-def in_D(presentation: Presentation, u: Word, v: Word, budget: Budget) -> Outcome:
+def in_D(presentation: Presentation, u: str, v: str, budget: Budget) -> Outcome:
     """The bounded-diagram equality test with E = (1+qL)/2 * (|u|+|v|)."""
     return in_C(presentation, d_edge_bound(presentation, u, v), u, v, budget)
 
@@ -293,14 +292,13 @@ def in_D(presentation: Presentation, u: Word, v: Word, budget: Budget) -> Outcom
 # rewriting engine (bidirectional relator-insertion search)
 
 
-def rewrite_search(presentation: Presentation, u: Word, v: Word, budget: Budget) -> Outcome:
+def rewrite_search(presentation: Presentation, u: str, v: str, budget: Budget) -> Outcome:
     """Bidirectional search by relator insertion plus free reduction.
 
     A no is certified only when both reachable sets close without hitting
     any cap (which happens e.g. over an empty relator set).
     """
-    start_u = u.code()
-    start_v = v.code()
+    start_u, start_v = free_reduce(u), free_reduce(v)
     faces = [face for _, face in presentation.faces]
     sides: list[dict] = [{start_u: None}, {start_v: None}]
     frontiers = [[start_u], [start_v]]
@@ -348,7 +346,7 @@ def rewrite_search(presentation: Presentation, u: Word, v: Word, budget: Budget)
     return _verdict(None, complete)
 
 
-def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: Word, v: Word) -> bool:
+def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: str, v: str) -> bool:
     faces = {face for _, face in presentation.faces}
 
     def check_chain(start: str, steps: Sequence[str]) -> bool:
@@ -360,8 +358,8 @@ def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: Word,
                 return False
         return True
 
-    return check_chain(u.code(), witness.steps_from_u) and check_chain(
-        v.code(), witness.steps_from_v
+    return check_chain(free_reduce(u), witness.steps_from_u) and check_chain(
+        free_reduce(v), witness.steps_from_v
     )
 
 
@@ -370,9 +368,10 @@ def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: Word,
 
 
 def equals_in_G(
-    presentation: Presentation, u: Word, v: Word, budget: Budget, engine: str = "diagram"
+    presentation: Presentation, u: str, v: str, budget: Budget, engine: str = "diagram"
 ) -> Outcome:
-    """Bounded equality test in the presented group.
+    """Bounded equality test in the presented group, on the free reductions
+    of u and v.
 
     A yes is always sound.  A no is exact for the bounded-diagram question;
     it implies inequality in the group whenever f(k) = qk is an isoperimetric
@@ -381,8 +380,9 @@ def equals_in_G(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
+    u, v = free_reduce(u), free_reduce(v)
     if u == v:
-        return Outcome(YES, witness=_filling(u.code() + v.inverse().code()))
+        return Outcome(YES, witness=_filling(u + invert(v)))
     if engine == "rewrite":
         return rewrite_search(presentation, u, v, budget)
     d = in_D(presentation, u, v, budget)
@@ -395,7 +395,7 @@ def equals_in_G(
 
 
 def regular_normal_form(
-    presentation: Presentation, g: Word, budget: Budget, engine: str = "diagram"
+    presentation: Presentation, g: str, budget: Budget, engine: str = "diagram"
 ) -> Outcome:
     """Deg-lex-least regular word equal to g within the bounded search.
 
@@ -407,19 +407,21 @@ def regular_normal_form(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     n = presentation.params.n
+    g = free_reduce(g)
     bound = (n + 1) * len(g) + n**4 * presentation.max_relator_len
     complete = bound <= budget.max_word_len
-    ab_g = ab_vector(g.code(), n)
+    ab_g = ab_vector(g, n)
     candidates = iter_regular_words(n, min(bound, budget.max_word_len))
-    for u in islice(candidates, budget.max_states):
+    for runs in islice(candidates, budget.max_states):
         if engine != "rewrite":
             # a regular word's abelian image is its exponent vector; outside
             # the coset ab(g) + lattice, in_C answers an obstructed no
             diff = list(ab_g)
-            for index, exp in u.runs:
+            for index, exp in runs:
                 diff[index - 1] -= exp
             if not _ab_in_lattice(diff, presentation.lattice):
                 continue
+        u = encode(runs)
         out = equals_in_G(presentation, u, g, budget, engine=engine)
         if out.is_yes:
             return _verdict(u, True)
@@ -427,39 +429,37 @@ def regular_normal_form(
     return _verdict(None, next(candidates, None) is None and complete)
 
 
-def _free_conjugacy(u: Word, v: Word) -> Optional[Word]:
+def _free_conjugacy(u: str, v: str) -> Optional[str]:
     """A conjugator with s u s^-1 = v in the free group, or None."""
-    core_u, a = u.cyclically_reduce()
-    core_v, b = v.cyclically_reduce()
+    core_u, a = cyclic_reduce(u)
+    core_v, b = cyclic_reduce(v)
     if len(core_u) != len(core_v):
         return None
-    cu = core_u.code()
-    if not cu:
-        return b * a.inverse()
     # the least k with core_v = p^-1 core_u p, p the first k letters of core_u
-    k = (cu + cu).find(core_v.code())
+    k = (core_u + core_u).find(core_v)
     if k < 0:
         return None
-    p = Word.from_code(cu[:k])
-    return b * p.inverse() * a.inverse()
+    return free_reduce(b + invert(core_u[:k]) + invert(a))
 
 
-def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) -> Outcome:
-    """Bounded conjugacy test following the trivial-word / annulus algorithm.
+def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) -> Outcome:
+    """Bounded conjugacy test following the trivial-word / annulus algorithm,
+    on the free reductions of u and v.
 
     The annular-diagram step is realized by cutting the annulus: a
     conjugator s of length at most q(|u|+|v|) plus a disc filling of
     s u s^-1 v^-1 with face area at most 2q(|u|+|v|) - |u| - |v|.
     """
     n = presentation.params.n
+    u, v = free_reduce(u), free_reduce(v)
 
     # Step 1: handle trivial inputs by the equality test.
-    tu = equals_in_G(presentation, u, EMPTY, budget)
-    tv = equals_in_G(presentation, v, EMPTY, budget)
+    tu = equals_in_G(presentation, u, "", budget)
+    tv = equals_in_G(presentation, v, "", budget)
     if tu.is_yes or tv.is_yes:
         eq = equals_in_G(presentation, u, v, budget)
         if eq.is_yes:
-            return Outcome(YES, witness=ConjugacyWitness(EMPTY, eq.witness))
+            return Outcome(YES, witness=ConjugacyWitness("", eq.witness))
         return eq
     complete = not (tu.exceeded or tv.exceeded)
 
@@ -469,7 +469,7 @@ def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) 
         return Outcome(YES, witness=ConjugacyWitness(s))
 
     # Abelianized conjugacy obstruction: conjugate elements have equal images.
-    if ab_obstructed(u.code() + v.inverse().code(), presentation):
+    if ab_obstructed(u + invert(v), presentation):
         return Outcome(NO, witness=OBSTRUCTED)
 
     bound_len = ceil(presentation.params.q * (len(u) + len(v)))
@@ -478,12 +478,12 @@ def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) 
         return takewhile(lambda w: len(w) <= bound_len, iter_reduced_words(n))
 
     # Step 2: trivial words up to the length bound (budget-capped).
-    trivial_words: list[Word] = []
+    trivial_words: list[str] = []
     candidates = short_words()
     for w in islice(candidates, budget.max_states):
         if not w:
             continue
-        t = equals_in_G(presentation, w, EMPTY, budget)
+        t = equals_in_G(presentation, w, "", budget)
         if t.is_yes:
             trivial_words.append(w)
         complete = complete and not t.exceeded
@@ -496,7 +496,7 @@ def are_conjugate(presentation: Presentation, u: Word, v: Word, budget: Budget) 
     area_bound = 2 * bound_len - (len(u) + len(v))
     candidates = short_words()
     for s in islice(candidates, budget.max_states):
-        z = free_reduce(s.code() + u.code() + s.inverse().code() + v.inverse().code())
+        z = free_reduce(s + u + invert(s) + invert(v))
         result = _fill_search(faces, z, area_bound, budget)
         if result.found:
             return _verdict(ConjugacyWitness(s, result.witness), True)

@@ -34,7 +34,7 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .words import Word, encode, invert, parse_letter, relator_variants
+from .words import encode, free_reduce, invert, parse_letter, relator_variants, word_text
 
 
 class DiagramError(ValueError):
@@ -42,10 +42,10 @@ class DiagramError(ValueError):
 
 
 class PreconditionError(DiagramError):
-    """A valid map outside the main lemma's hypotheses; carries the map's
-    condition B reports."""
+    """A valid map outside a checker's hypotheses; the main lemma's carries
+    the map's condition B reports."""
 
-    def __init__(self, message: str, reports: list) -> None:
+    def __init__(self, message: str, reports: Sequence = ()) -> None:
         super().__init__(message)
         self.reports = reports
 
@@ -203,9 +203,9 @@ def _components(d: Diagram, keep: Optional[bytearray] = None) -> list[list]:
     return components
 
 
-def match_face_label(label: str, relators: Sequence[Word]) -> Optional[tuple[int, int, int]]:
-    """(relator position, sign, rotation) such that the face label, a code
-    string, read from `rotation` equals relator^sign, or None.  Uses
+def match_face_label(label: str, relators: Sequence[str]) -> Optional[tuple[int, int, int]]:
+    """(relator position, sign, rotation) such that the face label read
+    from `rotation` equals relator^sign, or None; all are code strings.  Uses
     substring search in the doubled label, so matching stays linear in the
     boundary length; the lowest match is the least rotation."""
     k = len(label)
@@ -213,16 +213,16 @@ def match_face_label(label: str, relators: Sequence[Word]) -> Optional[tuple[int
         return None
     doubled = label * 2
     for pos, r in enumerate(relators):
-        for sign, target in ((1, r), (-1, r.inverse())):
+        for sign, target in ((1, r), (-1, invert(r))):
             if len(target) != k:
                 continue
-            rot = doubled.find(target.code())
+            rot = doubled.find(target)
             if rot >= 0:
                 return (pos, sign, rot)
     return None
 
 
-def validate_diagram(d: Diagram, relators: Sequence[Word]) -> ValidationReport:
+def validate_diagram(d: Diagram, relators: Sequence[str]) -> ValidationReport:
     """Full structural check plus face-label matching against the relators."""
     issues: list[ValidationIssue] = []
     inv, origin, ids = d.inv, d.origin, d.dart_ids
@@ -600,7 +600,7 @@ def _condition_X(met: DiagramMetrics, mu: Fraction) -> tuple[bool, DiagramMetric
 def check_condition_X(d: Diagram, sel: Selection, mu: Fraction) -> tuple[bool, DiagramMetrics]:
     """S >= E - mu * Sigma for a semisimple map."""
     if not is_semisimple(d):
-        raise DiagramError("map is not semisimple")
+        raise PreconditionError("map is not semisimple")
     return _condition_X(metrics(d, sel), mu)
 
 
@@ -710,7 +710,7 @@ def _diagram(
 
 def diagram_to_dict(d: Diagram) -> dict:
     ids, vertices, inv, origin = d.dart_ids, d.vertices, d.inv, d.origin
-    text = {code: str(Word.from_code(code)) for code in set(d.labels)}
+    text = {code: word_text(code) for code in set(d.labels)}
     return {
         "vertices": sorted(vertices, key=str),
         "darts": [
@@ -794,10 +794,9 @@ def _path(
     return darts, invs, froms, labels
 
 
-def polygon_diagram(word: Word, face_id: str = "f0") -> Diagram:
-    """One-face disc: a polygon reading `word` around the face, with the
-    contour being the inverse cycle."""
-    code = word.code()
+def polygon_diagram(code: str, face_id: str = "f0") -> Diagram:
+    """One-face disc: a polygon reading the code string around the face,
+    with the contour being the inverse cycle."""
     if not code:
         raise DiagramError("cannot build a polygon on the empty word")
     stops = [f"v{j}" for j in range(len(code))]
@@ -805,35 +804,33 @@ def polygon_diagram(word: Word, face_id: str = "f0") -> Diagram:
     return _diagram(stops, darts, invs, froms, labels, [(face_id, darts[::2])], [darts[::-2]])
 
 
-def degenerate_path_diagram(word: Word) -> Diagram:
-    """Face-free disc whose single contour reads word * word^-1."""
-    code = word.code()
+def degenerate_path_diagram(code: str) -> Diagram:
+    """Face-free disc whose single contour reads code code^-1."""
     stops = [f"v{j}" for j in range(len(code) + 1)]
     darts, invs, froms, labels = _path(code, stops, lambda j: f"d{j}")
     contour = darts[::2] + darts[::-2]
     return _diagram(stops, darts, invs, froms, labels, [], [contour] if contour else [])
 
 
-def sphere_double(word: Word) -> Diagram:
-    """Spherical diagram: two faces reading word and word^-1 glued along
+def sphere_double(code: str) -> Diagram:
+    """Spherical diagram: two faces reading code and code^-1 glued along
     their entire shared boundary circle; the canonical cancellable pair."""
-    base = polygon_diagram(word, face_id="front")
+    base = polygon_diagram(code, face_id="front")
     faces = {"front": base.faces["front"], "back": base.contours[0]}
     return replace(base, faces=faces, contours=())
 
 
-def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram:
-    """Attach a new polygon face reading `word` along the first `overlap`
-    darts of the current (single) contour.
+def glue_boundary(d: Diagram, code: str, face_id: str, overlap: int) -> Diagram:
+    """Attach a new polygon face reading the code string along the first
+    `overlap` darts of the current (single) contour.
 
     The attached face's boundary cycle starts with those contour darts,
     which migrate from the contour into the face (preserving the dart
-    partition); `word` must therefore begin with the labels of the shared
+    partition); `code` must therefore begin with the labels of the shared
     contour segment.  The old darts and vertices keep their numbers.
     """
     if not d.is_disc:
         raise DiagramError("gluing expects a disc diagram")
-    code = word.code()
     k = len(code)
     if not 0 < overlap < k:
         raise DiagramError("overlap must be a proper nonempty boundary segment")
@@ -846,7 +843,7 @@ def glue_boundary(d: Diagram, word: Word, face_id: str, overlap: int) -> Diagram
         if d.labels[dart] != code[j]:
             raise DiagramError(
                 f"overlap letter {j} mismatch: contour side reads "
-                f"{Word.from_code(d.labels[dart])}, new face needs {Word.from_code(code[j])}"
+                f"{word_text(d.labels[dart])}, new face needs {word_text(code[j])}"
             )
 
     # the fresh part of the face runs from the end of the shared segment
@@ -883,13 +880,14 @@ def rotate_contour(d: Diagram, k: int) -> Diagram:
     return replace(d, contours=(contour[k:] + contour[:k],))
 
 
-def random_diagram(relators: Sequence[Word], faces: int, rng) -> Diagram:
+def random_diagram(relators: Sequence[str], faces: int, rng) -> Diagram:
     """A random valid disc diagram with the given number of faces, grown by
-    gluing relator polygons along boundary segments."""
+    gluing the free reductions of relator variants (code strings) along
+    boundary segments."""
     if faces < 1:
         raise DiagramError("need at least one face")
     variants = relator_variants(relators)
-    d = polygon_diagram(Word.from_code(rng.choice(variants)), face_id="f0")
+    d = polygon_diagram(free_reduce(rng.choice(variants)), face_id="f0")
     for step in range(1, faces):
         d = rotate_contour(d, rng.randrange(len(d.contours[0])))
         contour = d.contours[0]
@@ -901,8 +899,7 @@ def random_diagram(relators: Sequence[Word], faces: int, rng) -> Diagram:
             fits = [v for v in variants if len(v) > overlap and v.startswith(prefix)]
             if not fits:
                 continue
-            word = Word.from_code(rng.choice(fits))
-            d = glue_boundary(d, word, f"f{step}", overlap)
+            d = glue_boundary(d, free_reduce(rng.choice(fits)), f"f{step}", overlap)
             placed = True
             break
         if not placed:

@@ -1,18 +1,16 @@
-"""Reduced group words over a finite alphabet, and the word kernel.
+"""Group words over a finite alphabet, and the word kernel.
 
-A `Word` is stored as maximal runs ``(index, exponent)`` with nonzero
-exponents and distinct adjacent indices, so it is freely reduced by
-construction.  Exponents are plain Python ints (arbitrary precision),
-which matters because the group construction produces exponents in the
-hundreds even for its smallest instances.
-
-The algorithms on words (free and cyclic reduction, least rotation,
-relator insertion, deg-lex enumeration) run on one letter encoding: the
-letter x_i^s is the code point ``2*(i-1) + (s > 0)`` and a word is the
-`str` of its letters.  The inverse of code c is ``c ^ 1``, and the deg-lex
-letter order x_1 < x_1^-1 < x_2 < ... < x_n^-1 is that of ``c ^ 1``.  A
-`str` puts no cap on the alphabet and stores code points below 256 in one
-byte each.
+A word is a code string: the letter x_i^s is the code point
+``2*(i-1) + (s > 0)`` and a word is the `str` of its letters.  The inverse
+of code c is ``c ^ 1``, and the deg-lex letter order x_1 < x_1^-1 < x_2 <
+... < x_n^-1 is that of ``c ^ 1``.  A `str` puts no cap on the alphabet
+and stores code points below 256 in one byte each.  Every algorithm on
+words (free and cyclic reduction, least rotation, relator insertion,
+deg-lex enumeration) runs on this one form, and text is read into it
+(`parse_word`) and printed from it (`word_text`) at the edges.
+`parse_word` gives a freely reduced code string, and so does every
+procedure that returns a word; the public decision procedures reduce
+their word arguments on entry.
 
 Reduction and least rotation take any code string.  The insertion steps
 (`insert`, `cyclic_join`, `cyclic_insert`) take reduced inputs, so that
@@ -22,9 +20,8 @@ letters cancel only at the seams, and their docstrings say which.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class MalformedWordError(ValueError):
@@ -210,11 +207,12 @@ def cyclic_insert(word: str, j: int, variant: str) -> str:
     return least_rotation(cyclic_join(word, j, variant))
 
 
-def relator_variants(relators: Iterable[Word]) -> tuple[str, ...]:
-    """All rotations of each relator and of its inverse, deduplicated, sorted."""
+def relator_variants(relators: Iterable[str]) -> tuple[str, ...]:
+    """All rotations of each relator code string and of its inverse,
+    deduplicated, sorted."""
     variants: set[str] = set()
     for r in relators:
-        for base in (r.code(), r.inverse().code()):
+        for base in (r, invert(r)):
             variants.update(base[k:] + base[:k] for k in range(len(base)))
     return tuple(sorted(variants))
 
@@ -237,108 +235,18 @@ def ab_vector(code: str, n: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced group word in run-normal form."""
-
-    runs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        prev = None
-        for index, exp in self.runs:
-            if index < 1:
-                raise MalformedWordError(f"letter index {index} out of range")
-            if exp == 0:
-                raise MalformedWordError("zero-exponent run")
-            if index == prev:
-                raise MalformedWordError("adjacent runs with equal indices")
-            prev = index
-
-    # -- construction ----------------------------------------------------
-
-    @staticmethod
-    def from_code(code: str) -> "Word":
-        """Freely reduce a code string into run-normal form."""
-        runs = []
-        for c, group in groupby(map(ord, free_reduce(code))):
-            count = sum(1 for _ in group)
-            runs.append((c // 2 + 1, count if c & 1 else -count))
-        return Word(tuple(runs))
-
-    @staticmethod
-    def from_runs(runs: Sequence[tuple[int, int]]) -> "Word":
-        """Build a word from arbitrary runs, merging and cancelling as needed.
-
-        Runs are merged on a stack by adding exponents, so no run is
-        expanded into letters: a zero exponent is dropped, and a run that
-        cancels to zero is popped, which lets its neighbours meet.
-        """
-        stack: list[tuple[int, int]] = []
-        for index, exp in runs:
-            if index < 1:
-                raise MalformedWordError(f"letter index {index} out of range")
-            if stack and stack[-1][0] == index:
-                exp += stack.pop()[1]
-            if exp:
-                stack.append((index, exp))
-        return Word(tuple(stack))
-
-    # -- basic queries ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(abs(e) for _, e in self.runs)
-
-    def __bool__(self) -> bool:
-        return bool(self.runs)
-
-    def code(self) -> str:
-        return encode(self.runs)
-
-    def max_index(self) -> int:
-        return max((i for i, _ in self.runs), default=0)
-
-    # -- group operations ------------------------------------------------
-
-    def inverse(self) -> "Word":
-        return Word(tuple((i, -e) for i, e in reversed(self.runs)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word.from_code(self.code() + other.code())
-
-    def cyclically_reduce(self) -> tuple["Word", "Word"]:
-        """Return (core, conjugator) with self = conjugator * core * conjugator^-1."""
-        core, conjugator = cyclic_reduce(self.code())
-        return Word.from_code(core), Word.from_code(conjugator)
-
-    # -- regularity ------------------------------------------------------
-
-    def is_regular(self) -> bool:
-        indices = [i for i, _ in self.runs]
-        return all(a < b for a, b in zip(indices, indices[1:]))
-
-    def relabel_mirror(self, n: int) -> "Word":
-        """Replace each letter x_i^s by x_{n+1-i}^{-s}; involutive."""
-        if self.max_index() > n:
-            raise MalformedWordError("letter index exceeds alphabet size")
-        return Word(tuple((n + 1 - i, -e) for i, e in self.runs))
-
-    # -- text form -------------------------------------------------------
-
-    def __str__(self) -> str:
-        parts = []
-        for index, exp in self.runs:
-            parts.append(f"x{index}" if exp == 1 else f"x{index}^{exp}")
-        return " ".join(parts)
-
-
-EMPTY = Word()
-
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 
-def parse_word(text: str, n: int | None = None) -> Word:
-    """Parse the grammar of whitespace-separated `x<i>` / `x<i>^<k>` tokens."""
-    runs = []
+def parse_word(text: str, n: int | None = None) -> str:
+    """Reduced code string of the grammar of whitespace-separated `x<i>` /
+    `x<i>^<k>` tokens.
+
+    Runs are merged on a stack by adding exponents, so no run is expanded
+    before the end: a zero exponent is dropped, and a run that cancels to
+    zero is popped, which lets its neighbours meet.
+    """
+    stack: list[tuple[int, int]] = []
     for token in text.split():
         m = _TOKEN.match(token)
         if m is None:
@@ -347,8 +255,11 @@ def parse_word(text: str, n: int | None = None) -> Word:
         exp = int(m.group(2)) if m.group(2) is not None else 1
         if index < 1 or (n is not None and index > n):
             raise MalformedWordError(f"letter index {index} out of range")
-        runs.append((index, exp))
-    return Word.from_runs(runs)
+        if stack and stack[-1][0] == index:
+            exp += stack.pop()[1]
+        if exp:
+            stack.append((index, exp))
+    return encode(stack)
 
 
 def parse_letter(text: str, n: int | None = None) -> str:
@@ -356,7 +267,27 @@ def parse_letter(text: str, n: int | None = None) -> str:
     m = _TOKEN.match(text)
     if m is None or m.group(2) not in (None, "-1"):
         raise MalformedWordError(f"bad letter {text!r}")
-    return parse_word(text, n).code()
+    return parse_word(text, n)
+
+
+def word_runs(code: str) -> list[tuple[int, int]]:
+    """Maximal runs (index, exponent) of the letters of a code string."""
+    runs = []
+    for c, group in groupby(map(ord, code)):
+        count = sum(1 for _ in group)
+        runs.append((c // 2 + 1, count if c & 1 else -count))
+    return runs
+
+
+def word_text(code: str) -> str:
+    """The free reduction of a code string in the grammar `parse_word` reads."""
+    return " ".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in word_runs(free_reduce(code)))
+
+
+def is_regular(code: str) -> bool:
+    """Whether a reduced code string is a regular word x_1^{k_1}...x_n^{k_n}:
+    its letter indices never decrease, and one index is one letter."""
+    return all(a == b or ord(a) >> 1 < ord(b) >> 1 for a, b in zip(code, code[1:]))
 
 
 # -- deg-lex order -------------------------------------------------------
@@ -377,11 +308,12 @@ def deglex_successor(code: str, n: int) -> str:
     return "\x01" * (len(code) + 1)
 
 
-def iter_reduced_words(n: int) -> Iterator[Word]:
-    """All reduced words over x_1..x_n in deg-lex order, from the empty word."""
+def iter_reduced_words(n: int) -> Iterator[str]:
+    """All reduced code strings over x_1..x_n in deg-lex order, from the
+    empty word."""
     code = ""
     while True:
-        yield Word.from_code(code)
+        yield code
         code = deglex_successor(code, n)
 
 
@@ -398,8 +330,8 @@ def _regular_runs(n: int, first: int, remaining: int) -> Iterator[tuple[tuple[in
                     yield ((index, sign * count),) + tail
 
 
-def iter_regular_words(n: int, max_length: int) -> Iterator[Word]:
-    """Regular words x_1^{k_1}...x_n^{k_n} in deg-lex order, lengths 0..max_length."""
+def iter_regular_words(n: int, max_length: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Runs (index, exponent) of the regular words x_1^{k_1}...x_n^{k_n} in
+    deg-lex order, lengths 0..max_length; `encode` spells each one."""
     for length in range(max_length + 1):
-        for runs in _regular_runs(n, 1, length):
-            yield Word(runs)
+        yield from _regular_runs(n, 1, length)

@@ -5,26 +5,34 @@ import pytest
 
 from filebasis.construction import ConstructionParams, generate
 from filebasis.decision import Budget
-from filebasis.words import Word, encode
+from filebasis.words import MalformedWordError, cyclic_reduce, encode, free_reduce, invert, is_regular
 
 
 def word_of(raw):
-    """The reduced word of (index, sign) letters or (index, exponent) runs."""
-    return Word.from_code(encode(raw))
+    """The reduced code string of (index, sign) letters or (index, exponent) runs."""
+    return free_reduce(encode(raw))
 
 
 def conjugate_by(g, a):
-    """a * g * a^-1."""
-    return a * g * a.inverse()
+    """a g a^-1, freely reduced."""
+    return free_reduce(a + g + invert(a))
 
 
-def is_cyclically_reduced(word):
-    return word.cyclically_reduce()[0] == word
+def is_cyclically_reduced(code):
+    return cyclic_reduce(code)[0] == code
 
 
-def is_counter_regular(word):
+def is_counter_regular(code):
     """Regular read backwards: the inverse is regular."""
-    return word.inverse().is_regular()
+    return is_regular(invert(code))
+
+
+def relabel_mirror(code, n):
+    """Replace each letter x_i^s by x_{n+1-i}^{-s}; involutive.  The code
+    2(i-1) + (s > 0) becomes 2(n-i) + (s < 0) = 2n - 1 - code."""
+    if any(ord(c) >= 2 * n for c in code):
+        raise MalformedWordError("letter index exceeds alphabet size")
+    return "".join(chr(2 * n - 1 - ord(c)) for c in code)
 
 
 @pytest.fixture(scope="session")

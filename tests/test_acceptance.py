@@ -20,12 +20,18 @@ from filebasis.construction import (
 )
 from filebasis.decision import Budget, EXCEEDED, NO, YES
 from filebasis.words import (
-    EMPTY,
-    Word,
+    cyclic_reduce,
+    encode,
+    free_reduce,
+    invert,
+    is_regular,
     iter_reduced_words,
     iter_regular_words,
     parse_word,
+    word_runs,
+    word_text,
 )
+from conftest import conjugate_by
 from test_decision import CayleyBallOracle, random_word
 from test_diagram import scan_special_subpaths
 
@@ -80,7 +86,8 @@ def test_criterion_3_first_relator_theorem_scale():
     for word in iter_reduced_words(63):
         if not word:
             continue
-        if word.runs[0][0] == 1 or word.runs[-1][0] == 63 or word.is_regular():
+        runs = word_runs(word)
+        if runs[0][0] == 1 or runs[-1][0] == 63 or is_regular(word):
             continue
         expected = word
         break
@@ -99,7 +106,7 @@ def test_criterion_4_toy_construction_determinism(capsys):
     assert rel["r"] == "x1^5 x2^5 x3^5 x1^-1 x2^-1"
 
     r = parse_word(rel["r"], 3)
-    core, _ = r.cyclically_reduce()
+    core, _ = cyclic_reduce(r)
     assert core == r
 
     # growth inequality l1*(n*m + |w|) >= |w| at these exact parameters:
@@ -152,11 +159,11 @@ def test_criterion_6_special_selection(toy_presentation, toy_params):
     for k in range(len(base.contours[0])):
         rotated = dg.rotate_contour(base, k)
         shared = rotated.labels[rotated.contours[0][0]]
-        for source in (r1.code(), r1.inverse().code()):
+        for source in (r1, invert(r1)):
             for rot in range(len(source)):
                 v = source[rot:] + source[:rot]
                 if v[0] == shared:
-                    diagrams.append(dg.glue_boundary(rotated, Word.from_code(v), "f1", 1))
+                    diagrams.append(dg.glue_boundary(rotated, v, "f1", 1))
     assert len(diagrams) > 30
 
     for d in diagrams:
@@ -229,7 +236,7 @@ def test_criterion_9_engine_agreement(toy_presentation, toy_budget):
     for _ in range(15):
         u = random_word(rng, max_len=4)
         a = random_word(rng, max_len=2)
-        v = u * a * r1 * a.inverse()
+        v = free_reduce(u + conjugate_by(r1, a))
         pairs.append((u, v))
 
     for u, v in pairs:
@@ -261,16 +268,14 @@ def test_criterion_10_conjugacy(toy_presentation):
         u = random_word(rng, max_len=6)
         if not u:
             continue
-        code = u.code()
-        k = rng.randrange(len(code))
-        v = Word.from_code(code[k:] + code[:k])
+        k = rng.randrange(len(u))
+        v = free_reduce(u[k:] + u[:k])
         out = dec.are_conjugate(toy_presentation, u, v, budget)
         assert out.is_yes
         s = out.witness.conjugator
         if out.witness.certificate is None:
-            assert s * u * s.inverse() == v
+            assert conjugate_by(u, s) == v
         else:
-            z = s * u * s.inverse() * v.inverse()
             assert dec.replay_fill(out.witness.certificate, toy_presentation)
         checked += 1
 
@@ -280,7 +285,7 @@ def test_criterion_10_conjugacy(toy_presentation):
         for s in iter_reduced_words(3):
             if len(s) > bound:
                 return None
-            if s * u * s.inverse() == v:
+            if conjugate_by(u, s) == v:
                 return s
         return None
 
@@ -314,8 +319,8 @@ def test_criterion_11_normal_form_idempotence_and_uniqueness(toy_presentation):
     # regular equivalents inside the bounded scan
     for g in [parse_word(t, 3) for t in ["x2 x1", "x1^2", "x1 x2", ""]]:
         accepted = []
-        for u in iter_regular_words(3, 16):
+        for u in map(encode, iter_regular_words(3, 16)):
             out = dec.equals_in_G(toy_presentation, u, g, budget)
             if out.is_yes:
                 accepted.append(u)
-        assert len(accepted) <= 1, [str(a) for a in accepted]
+        assert len(accepted) <= 1, [word_text(a) for a in accepted]

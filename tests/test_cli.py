@@ -183,6 +183,21 @@ class TestCheckDiagram:
         assert out["main_lemma"]["passed"] is False
         assert out["main_lemma"]["precondition"].startswith("face 'f0' fails")
 
+    def test_condition_X_precondition_fails(self, capsys, pres_file, tmp_path):
+        from filebasis import diagram as dg
+        from filebasis.words import parse_word
+
+        # a valid face-free path: not semisimple, so outside condition X's hypotheses
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(dg.diagram_to_dict(dg.degenerate_path_diagram(parse_word("x1")))))
+        code = main(["check-diagram", str(path), "--presentation", pres_file, "--condition", "X"])
+        captured = capsys.readouterr()
+        assert code == 1  # a no, not exit 65
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["validation"]["ok"]
+        assert out["condition_X"] == {"passed": False, "precondition": "map is not semisimple"}
+
     def test_invalid_diagram(self, run, pres_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"vertices": ["v0"], "darts": [], "faces": [], "contours": []}))
@@ -228,11 +243,11 @@ class TestEnumWords:
         assert out["words"] == self.FIRST[:count]
 
     def test_roundtrip_parse(self, run):
-        from filebasis.words import parse_word
+        from filebasis.words import parse_word, word_text
 
         _, out = run("enum-words", "--n", "2", "--count", "30")
         for text in out["words"]:
-            assert str(parse_word(text, 2)) == text
+            assert word_text(parse_word(text, 2)) == text
 
 
 class TestTrustBoundary:

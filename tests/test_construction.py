@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import is_cyclically_reduced
 from hypothesis import given, strategies as st
 
 from filebasis.construction import (
@@ -12,35 +13,11 @@ from filebasis.construction import (
     build_relator,
     check_relator,
     generate,
-    least_rational_geq,
     next_w,
     validate_params,
 )
 from filebasis.decision import Budget
-from filebasis.words import EMPTY, parse_word
-
-
-class TestLeastRationalGeq:
-    def test_exact_when_small_denominator(self):
-        assert least_rational_geq(Fraction(3, 7), 100) == Fraction(3, 7)
-
-    def test_above_when_capped(self):
-        x = Fraction(355, 113)
-        out = least_rational_geq(x, 50)
-        assert out >= x and out.denominator <= 50
-
-    @given(
-        st.fractions(min_value=0, max_value=100),
-        st.integers(min_value=1, max_value=500),
-    )
-    def test_minimality(self, x, max_den):
-        out = least_rational_geq(x, max_den)
-        assert out >= x
-        assert out.denominator <= max_den
-        # nothing with an allowed denominator fits strictly between x and out
-        for d in range(1, max_den + 1):
-            c = -((-x.numerator * d) // x.denominator)  # ceil(x*d)
-            assert Fraction(c, d) >= out
+from filebasis.words import is_regular, iter_reduced_words, parse_word, word_runs, word_text
 
 
 class TestParams:
@@ -61,9 +38,15 @@ class TestParams:
         assert toy_params.mu > Fraction(1, 2)
         assert toy_params.q == Fraction(1)
 
-    def test_q_is_least_rational_above_bound(self, theorem_params):
-        bound = 1 / (1 - 2 * theorem_params.mu)
-        assert theorem_params.q == least_rational_geq(bound, 10**6)
+    @given(st.integers(1, 200), st.fractions(0, 1).filter(lambda x: 0 < x < 1))
+    def test_q_is_exact(self, n, lambda1):
+        p = ConstructionParams(n, lambda1, 1)
+        assert p.q == (1 / (1 - 2 * p.mu) if p.mu < Fraction(1, 2) else 1)
+
+    def test_q_keeps_a_large_denominator(self):
+        # 1/(1-2mu) = 315000000/214999937, beyond the old cap of 10^6
+        p = ConstructionParams(63, Fraction(1, 10**7), 315)
+        assert p.q == Fraction(315_000_000, 214_999_937)
 
     def test_validate_theorem_scale(self, theorem_params):
         report = validate_params(theorem_params)
@@ -92,14 +75,14 @@ class TestBuildRelator:
     def test_toy_relator(self, toy_params):
         rel = build_relator(toy_params, 1, parse_word("x2 x1", 3))
         assert rel.m == 5
-        assert str(rel.r) == "x1^5 x2^5 x3^5 x1^-1 x2^-1"
+        assert word_text(rel.r) == "x1^5 x2^5 x3^5 x1^-1 x2^-1"
         assert len(rel.r) == 3 * 5 + 2
 
     def test_theorem_scale_exponent(self, theorem_params):
         rel = build_relator(theorem_params, 1, parse_word("x2 x1", 63))
         assert rel.m == 315 * 2 + 1 == 631
         assert len(rel.r) == 63 * 631 + 2 == 39755
-        assert len(rel.r.runs) == 65
+        assert len(word_runs(rel.r)) == 65
 
     def test_length_identity(self, toy_params):
         for i, text in [(1, "x2 x1"), (2, "x2^2 x1"), (5, "x2 x1^3")]:
@@ -108,8 +91,7 @@ class TestBuildRelator:
 
     def test_cyclically_reduced(self, toy_params):
         rel = build_relator(toy_params, 1, parse_word("x2 x1", 3))
-        core, _ = rel.r.cyclically_reduce()
-        assert core == rel.r
+        assert is_cyclically_reduced(rel.r)
 
     def test_check_relator_names_violation(self, toy_params):
         # the toy parameters violate the growth inequality, and only it
@@ -138,13 +120,12 @@ class TestNextW:
     def test_brute_force_agreement(self, toy_params, toy_budget):
         # oracle: scan deg-lex enumeration, drop words starting x1^{+-1},
         # ending x_n^{+-1}, or regular; with no relators equality is free
-        from filebasis.words import iter_reduced_words
-
         expected = None
         for w in iter_reduced_words(3):
             if not w:
                 continue
-            if w.runs[0][0] == 1 or w.runs[-1][0] == 3 or w.is_regular():
+            runs = word_runs(w)
+            if runs[0][0] == 1 or runs[-1][0] == 3 or is_regular(w):
                 continue
             expected = w
             break
@@ -159,7 +140,7 @@ class TestGenerate:
 
     def test_one_step_toy(self, toy_presentation):
         assert len(toy_presentation.relators) == 1
-        assert str(toy_presentation.relators[0].r) == "x1^5 x2^5 x3^5 x1^-1 x2^-1"
+        assert word_text(toy_presentation.relators[0].r) == "x1^5 x2^5 x3^5 x1^-1 x2^-1"
 
     def test_determinism(self, toy_params, toy_budget):
         a = generate(toy_params, 1, toy_budget)

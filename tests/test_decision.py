@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from filebasis import construction, words
 from filebasis import decision as dec
-from filebasis.construction import Presentation
+from filebasis.construction import Presentation, build_relator
 from filebasis.decision import (
     Budget,
     EXCEEDED,
@@ -30,17 +30,17 @@ from filebasis.decision import (
     rewrite_search,
 )
 from filebasis.words import (
-    EMPTY,
-    Word,
     cyclic_join,
     cyclic_reduce,
     encode,
+    free_reduce,
     invert,
     iter_regular_words,
     least_rotation,
     parse_word,
     reduced_variants,
     relator_variants,
+    word_text,
 )
 
 
@@ -72,15 +72,14 @@ class CayleyBallOracle:
     def __init__(self, relators, radius):
         self.variants = set()
         for r in relators:
-            for base in (r.code(), r.inverse().code()):
+            for base in (r, invert(r)):
                 self.variants.update(base[k:] + base[:k] for k in range(len(base)))
         self.radius = radius
 
     def equal(self, u, v):
         """True/False when the closure from u within the ball settles it,
         None when the ball boundary was reached (indeterminate)."""
-        start = u.code()
-        target = v.code()
+        start, target = _oracle_reduce(u), _oracle_reduce(v)
         if max(len(start), len(target)) > self.radius:
             return None
         seen = {start}
@@ -185,23 +184,23 @@ class TestRewrite:
 
     def test_relator_insertion(self, toy_presentation, toy_budget):
         r1 = toy_presentation.relators[0].r
-        out = rewrite_search(toy_presentation, r1, EMPTY, toy_budget)
+        out = rewrite_search(toy_presentation, r1, "", toy_budget)
         assert out.is_yes
-        assert replay_rewrite(out.witness, toy_presentation, r1, EMPTY)
+        assert replay_rewrite(out.witness, toy_presentation, r1, "")
 
     def test_conjugated_relator(self, toy_presentation, toy_budget):
         r1 = toy_presentation.relators[0].r
         conj = conjugate_by(r1, w("x3 x1^-1"))
-        out = rewrite_search(toy_presentation, conj, EMPTY, toy_budget)
+        out = rewrite_search(toy_presentation, conj, "", toy_budget)
         assert out.is_yes
-        assert replay_rewrite(out.witness, toy_presentation, conj, EMPTY)
+        assert replay_rewrite(out.witness, toy_presentation, conj, "")
 
 
 class TestEqualsInG:
     def test_relator_trivial(self, toy_presentation, toy_budget):
         r1 = toy_presentation.relators[0].r
         for engine in ("diagram", "rewrite", "both"):
-            assert equals_in_G(toy_presentation, r1, EMPTY, toy_budget, engine=engine).is_yes
+            assert equals_in_G(toy_presentation, r1, "", toy_budget, engine=engine).is_yes
 
     def test_generators_distinct(self, toy_presentation, toy_budget):
         assert equals_in_G(toy_presentation, w("x1"), w("x2"), toy_budget).is_no
@@ -254,7 +253,7 @@ class TestNormalForm:
 
     def test_trivial_input(self, toy_presentation, toy_budget):
         out = regular_normal_form(toy_presentation, w("x1 x1^-1"), toy_budget)
-        assert out.is_yes and out.witness == EMPTY
+        assert out.is_yes and out.witness == ""
 
     def test_w1_maps_to_head(self, toy_presentation, toy_budget):
         out = regular_normal_form(toy_presentation, w("x2 x1"), toy_budget)
@@ -312,7 +311,7 @@ class TestConjugacy:
         out = are_conjugate(toy_presentation, w("x1 x2 x3"), w("x3 x1 x2"), toy_budget)
         assert out.is_yes
         s = out.witness.conjugator
-        assert s * w("x1 x2 x3") * s.inverse() == w("x3 x1 x2")
+        assert conjugate_by(w("x1 x2 x3"), s) == w("x3 x1 x2")
 
     def test_free_conjugate_with_decoration(self, toy_presentation, toy_budget):
         u = w("x1 x2")
@@ -320,7 +319,7 @@ class TestConjugacy:
         out = are_conjugate(toy_presentation, u, v, toy_budget)
         assert out.is_yes
         s = out.witness.conjugator
-        assert s * u * s.inverse() == v
+        assert conjugate_by(u, s) == v
 
     def test_ab_obstruction(self, toy_presentation, toy_budget):
         out = are_conjugate(toy_presentation, w("x1"), w("x2"), toy_budget)
@@ -336,9 +335,8 @@ class TestConjugacy:
             u = random_word(rng, max_len=5)
             if not u:
                 continue
-            code = u.code()
-            k = rng.randrange(len(code))
-            shifted = Word.from_code(code[k:] + code[:k])
+            k = rng.randrange(len(u))
+            shifted = free_reduce(u[k:] + u[:k])
             out = are_conjugate(toy_presentation, u, shifted, budget)
             assert out.is_yes
 
@@ -363,7 +361,7 @@ class TestScanBoundaries:
         calls = _counting(monkeypatch, "equals_in_G")
         assert are_conjugate(self.FREE2, u, v, Budget(max_states=states)) == dec.Outcome(value)
         # step 1 tests u and v, then the scan tests every candidate but the empty word
-        assert sum(1 for args in calls if args[2] == EMPTY) == 2 + states - 1
+        assert sum(1 for args in calls if args[2] == "") == 2 + states - 1
 
     def test_conjugacy_annulus_scan(self, toy_presentation):
         # x1^-1 (x1 x2) x1 = x2 x1 = x1^5 x2^5 x3^5 in G, and x1^-1 is the
@@ -377,18 +375,18 @@ class TestScanBoundaries:
 class TestAbelianization:
     def test_relator_vector_member(self, toy_presentation):
         r1 = toy_presentation.relators[0].r
-        assert not ab_obstructed(r1.code(), toy_presentation)
+        assert not ab_obstructed(r1, toy_presentation)
 
     def test_generator_not_member(self, toy_presentation):
-        assert ab_obstructed(w("x1").code(), toy_presentation)
+        assert ab_obstructed(w("x1"), toy_presentation)
 
     def test_empty_relators(self, free_presentation):
-        assert ab_obstructed(w("x1").code(), free_presentation)
-        assert not ab_obstructed(w("x1 x1^-1").code(), free_presentation)
+        assert ab_obstructed(w("x1"), free_presentation)
+        assert not ab_obstructed(w("x1 x1^-1"), free_presentation)
 
     @given(st.integers(-4, 4))
     def test_multiples_of_relator(self, toy_presentation, t):
-        assert str(toy_presentation.relators[0].r) == "x1^5 x2^5 x3^5 x1^-1 x2^-1"
+        assert word_text(toy_presentation.relators[0].r) == "x1^5 x2^5 x3^5 x1^-1 x2^-1"
         vec = [t * 4, t * 4, t * 5]
         seq = []
         for i, k in enumerate(vec, start=1):
@@ -401,7 +399,7 @@ def lattice_of(vectors, n):
     abelian images are the given vectors."""
     texts = [" ".join(f"x{j}^{e}" for j, e in enumerate(v, 1) if e) for v in vectors]
     relators = tuple(
-        construction.Relator(i, EMPTY, 0, parse_word(text, n)) for i, text in enumerate(texts, 1)
+        construction.Relator(i, "", 0, parse_word(text, n)) for i, text in enumerate(texts, 1)
     )
     return Presentation(construction.ConstructionParams(n, Fraction(1, 15), 2), relators).lattice
 
@@ -591,8 +589,8 @@ class TestFillSearchPruning:
     @settings(max_examples=300, deadline=None)
     @given(_fill_cases())
     # one face fills the word; a commutator, then x3^3 as the last face
-    @example((FACE_SETS["toy"], w("x1^3 x2^5 x3^5 x1^-1 x2^-1 x1^2").code(), 17, Budget()))
-    @example((FACE_SETS["short"], w("x3^-3 x2^-1 x1^-1 x2 x1").code(), 7, Budget()))
+    @example((FACE_SETS["toy"], w("x1^3 x2^5 x3^5 x1^-1 x2^-1 x1^2"), 17, Budget()))
+    @example((FACE_SETS["short"], w("x3^-3 x2^-1 x1^-1 x2 x1"), 7, Budget()))
     def test_agrees_with_unpruned_search(self, case):
         faces, start, area_bound, budget = case
         pruned = dec._fill_search(faces, start, area_bound, budget)
@@ -617,7 +615,7 @@ class TestFillSearchPruning:
 def _unfiltered_rewrite_search(faces, u, v, budget):
     """Reference rewriting search that builds the child at every position
     and only then tests it against max_word_len."""
-    start_u, start_v = u.code(), v.code()
+    start_u, start_v = u, v
     if start_u == start_v:
         return dec.Outcome(YES, witness=dec.RewriteWitness(start_u, (start_u,), (start_v,)))
     sides = [{start_u: None}, {start_v: None}]
@@ -671,7 +669,7 @@ def _rewrite_cases(draw):
     # small max_word_len often closes both sides, where complete decides
     max_len = draw(st.integers(1, 6) | st.integers(1, 24))
     budget = Budget(max_word_len=max_len, max_states=draw(st.integers(1, 60)))
-    return faces, Word.from_code(u), Word.from_code(v), budget
+    return faces, u, v, budget
 
 
 class TestRewriteSeams:
@@ -730,11 +728,11 @@ class TestNormalFormCosetScan:
 
     def coset_candidates(self, presentation, g, budget):
         scanned = []
-        for u in iter_regular_words(presentation.params.n, budget.max_word_len):
+        for runs in iter_regular_words(presentation.params.n, budget.max_word_len):
             if len(scanned) == budget.max_states:
                 break
-            scanned.append(u)
-        coset = [u for u in scanned if not ab_obstructed(u.code() + invert(g.code()), presentation)]
+            scanned.append(encode(runs))
+        coset = [u for u in scanned if not ab_obstructed(u + invert(g), presentation)]
         return scanned, coset
 
     def test_diagram_engine_tests_coset_only(self, toy_presentation, monkeypatch):
@@ -754,3 +752,86 @@ class TestNormalFormCosetScan:
         out = regular_normal_form(toy_presentation, g, budget, engine="rewrite")
         assert out == dec.Outcome(EXCEEDED)
         assert [u for _, u, *_ in calls] == scanned
+
+
+# ---------------------------------------------------------------------------
+# the reduction contract: public procedures answer on the free reduction of
+# their word arguments, so an unreduced code string gets the answer of its
+# reduction
+
+
+UNREDUCED = [
+    (encode([(1, 1), (1, -1), (2, 1)]), "x2"),
+    (encode([(1, 1), (1, -1)]), ""),
+    (encode([(2, 1), (3, -1), (3, 1), (1, 1)]), "x2 x1"),
+    (encode([(1, 5), (2, 5), (3, 6), (3, -1), (1, -1), (2, -1)]), "x1^5 x2^5 x3^5 x1^-1 x2^-1"),
+]
+PARTNERS = ["", "x2", "x2 x1", "x1^5 x2^5 x3^5"]
+SMALL = Budget(max_word_len=30, max_states=300)
+
+
+@pytest.fixture(params=["free", "toy"])
+def presentation(request, free_presentation, toy_presentation):
+    return free_presentation if request.param == "free" else toy_presentation
+
+
+class TestReductionContract:
+    def test_unreduced_codes_are_unreduced(self):
+        for code, text in UNREDUCED:
+            assert code != w(text) == free_reduce(code)
+
+    @pytest.mark.parametrize("engine", dec.ENGINES)
+    def test_cancelling_pair_equals_empty_word(self, free_presentation, engine):
+        # a search from the unreduced code itself never meets the empty word
+        # in the free group, and would answer no
+        x = encode([(1, 1), (1, -1)])
+        assert equals_in_G(free_presentation, x, "", Budget(), engine=engine).is_yes
+        assert equals_in_G(free_presentation, "", x, Budget(), engine=engine).is_yes
+
+    @pytest.mark.parametrize("engine", dec.ENGINES)
+    def test_equals_in_G(self, presentation, engine):
+        for code, text in UNREDUCED:
+            for other in map(w, PARTNERS):
+                expected = equals_in_G(presentation, w(text), other, SMALL, engine=engine)
+                assert equals_in_G(presentation, code, other, SMALL, engine=engine) == expected
+                expected = equals_in_G(presentation, other, w(text), SMALL, engine=engine)
+                assert equals_in_G(presentation, other, code, SMALL, engine=engine) == expected
+
+    def test_rewrite_search_and_replay(self, presentation):
+        for code, text in UNREDUCED:
+            out = rewrite_search(presentation, code, w(text), SMALL)
+            assert out.is_yes
+            assert replay_rewrite(out.witness, presentation, code, w(text))
+            assert replay_rewrite(out.witness, presentation, w(text), w(text))
+
+    @pytest.mark.parametrize("engine", dec.ENGINES)
+    def test_regular_normal_form(self, presentation, engine):
+        budget = Budget(max_word_len=40, max_states=200)
+        for code, text in UNREDUCED:
+            expected = regular_normal_form(presentation, w(text), budget, engine=engine)
+            assert regular_normal_form(presentation, code, budget, engine=engine) == expected
+
+    def test_are_conjugate(self, presentation):
+        budget = Budget(max_word_len=30, max_states=100)
+        for code, text in UNREDUCED:
+            for other in map(w, PARTNERS):
+                expected = are_conjugate(presentation, w(text), other, budget)
+                assert are_conjugate(presentation, code, other, budget) == expected
+                expected = are_conjugate(presentation, other, w(text), budget)
+                assert are_conjugate(presentation, other, code, budget) == expected
+
+    def test_scan_lengths_count_reduced_letters(self):
+        # each scan below completes at exactly this max_states (see
+        # TestScanBoundaries), so a length bound from the unreduced letters
+        # would cut it short
+        free2 = TestScanBoundaries.FREE2
+        pad = encode([(1, 1), (1, -1)])
+        g = w("x2 x1", 2)
+        assert regular_normal_form(free2, pad + g, Budget(max_states=85)) == dec.Outcome(NO)
+        u, v = w("x1 x2 x1^-1 x2^-1", 2), w("x1 x2^-1 x1^-1 x2", 2)
+        assert are_conjugate(free2, pad + u, v, Budget(max_states=13121)) == dec.Outcome(NO)
+        assert are_conjugate(free2, u, v + pad, Budget(max_states=13121)) == dec.Outcome(NO)
+
+    def test_build_relator(self, toy_params):
+        for code, text in UNREDUCED[2:]:
+            assert build_relator(toy_params, 1, code) == build_relator(toy_params, 1, w(text))

@@ -10,7 +10,7 @@ import pytest
 
 from filebasis import diagram as dg
 from filebasis.construction import build_relator
-from filebasis.words import EMPTY, Word, encode, parse_word
+from filebasis.words import encode, free_reduce, invert, parse_word, relator_variants
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +28,11 @@ def glue_second_face(d, relator, inverted=False):
     relator (or its inverse) from a rotation that fits."""
     contour = d.contours[0]
     shared = d.labels[contour[0]]
-    base = relator.inverse().code() if inverted else relator.code()
+    base = invert(relator) if inverted else relator
     for k in range(len(base)):
         rot = base[k:] + base[:k]
         if rot[0] == shared:
-            return dg.glue_boundary(d, Word.from_code(rot), "f1", 1)
+            return dg.glue_boundary(d, rot, "f1", 1)
     raise AssertionError("no fitting rotation")
 
 
@@ -85,8 +85,7 @@ class TestValidate:
     def test_match_every_toy_rotation(self, toy_relator, offset):
         # the face reads the relator from its letter `offset` on, so the
         # relator starts at rotation 17 - offset of the face label
-        code = toy_relator.code()
-        face = dg.polygon_diagram(Word.from_code(code[offset:] + code[:offset]))
+        face = dg.polygon_diagram(toy_relator[offset:] + toy_relator[:offset])
         report = dg.validate_diagram(face, [toy_relator])
         assert report.ok
         assert report.face_matches["f0"] == (0, 1, (17 - offset) % 17)
@@ -97,13 +96,12 @@ class TestValidate:
         ids=["offset-2000", "inverse"],
     )
     def test_match_theorem_scale_face(self, theorem_relator, reading, expected):
-        code = theorem_relator.code()
-        assert len(code) == 39755
+        assert len(theorem_relator) == 39755
         if reading == "offset":
-            label = code[2000:] + code[:2000]
+            label = theorem_relator[2000:] + theorem_relator[:2000]
         else:
-            label = theorem_relator.inverse().code()
-        face = dg.polygon_diagram(Word.from_code(label))
+            label = invert(theorem_relator)
+        face = dg.polygon_diagram(label)
         report = dg.validate_diagram(face, [theorem_relator])
         assert report.ok
         assert report.face_matches["f0"] == expected
@@ -161,14 +159,13 @@ class TestSpecialSelection:
         assert label == encode([(1, 5), (2, 5), (3, 5)])
 
     def test_uniqueness_scan(self, toy_relator):
-        hits = scan_special_subpaths(toy_relator.code(), 3)
+        hits = scan_special_subpaths(toy_relator, 3)
         assert len(hits) == 1
         assert hits[0] == (0, 15)
 
     def test_uniqueness_all_rotations(self, toy_relator):
-        code = toy_relator.code()
-        for k in range(len(code)):
-            rot = code[k:] + code[:k]
+        for k in range(len(toy_relator)):
+            rot = toy_relator[k:] + toy_relator[:k]
             assert len(scan_special_subpaths(rot, 3)) == 1
 
     def test_mirror_direction(self, toy_face):
@@ -196,7 +193,7 @@ class TestFaceRank:
         assert dg.face_rank(toy_face, "f0", toy_presentation) == 1
 
     def test_rank_of_inverse(self, toy_relator, toy_presentation):
-        d = dg.polygon_diagram(toy_relator.inverse())
+        d = dg.polygon_diagram(invert(toy_relator))
         assert dg.face_rank(d, "f0", toy_presentation) == 1
 
     def test_monotone_with_length(self, toy_params, toy_presentation):
@@ -277,7 +274,7 @@ class TestConditions:
 
     def test_condition_X_rejects_non_semisimple(self, toy_relator):
         d = dg.degenerate_path_diagram(parse_word("x1", 3))
-        with pytest.raises(dg.DiagramError):
+        with pytest.raises(dg.PreconditionError, match="not semisimple"):
             dg.check_condition_X(d, dg.Selection({}), Fraction(1, 2))
 
     def test_main_lemma_theorem_scale_face(self, theorem_params):
@@ -402,6 +399,22 @@ class TestRandomCorpus:
             d = dg.random_diagram(rels, rng.randrange(1, 7), rng)
             chi = len(d.vertices) - d.edge_count() + len(d.faces) + len(d.contours)
             assert chi == 2
+
+    def test_faces_read_reduced_variants(self, rng):
+        # a relator that is not cyclically reduced has rotations that are not
+        # freely reduced; every face reads the free reduction of one.  A fit
+        # chosen by its unreduced length can be too short to glue once reduced.
+        relator = parse_word("x1 x2 x3^2 x1^-1", 3)
+        reduced = {free_reduce(v) for v in relator_variants([relator])}
+        glued = 0
+        for _ in range(40):
+            try:
+                d = dg.random_diagram([relator], 2, rng)
+            except dg.DiagramError:
+                continue
+            glued += len(d.faces) == 2
+            assert {d.face_code(fid) for fid in d.faces} <= reduced
+        assert glued >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +615,7 @@ def _build(name, relator):
     if name == "path x1 x2":
         return dg.degenerate_path_diagram(parse_word("x1 x2", 3))
     if name == "path empty":
-        return dg.degenerate_path_diagram(EMPTY)
+        return dg.degenerate_path_diagram("")
     if name == "sphere toy":
         return dg.sphere_double(relator)
     return glue_second_face(dg.polygon_diagram(relator), relator)

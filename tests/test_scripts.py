@@ -65,6 +65,33 @@ def test_diff_toy_queries(tmp_path):
     assert_golden(records, "toy-eq-1")
 
 
+def test_diff_toy_nf_queries(tmp_path):
+    proc = run_script("diff_toy_queries.py", "--workloads", "toy-nf", "--seeds", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 24
+    for record in records:
+        assert (record["workload"], record["seed"]) == ("toy-nf", 1)
+        assert record["argv"][0] == "nf"
+        assert record["code"] in (0, 1, 2)
+    assert_golden(records, "toy-nf-1")
+
+
+def test_diff_toy_conj_queries(tmp_path):
+    proc = run_script(
+        "diff_toy_queries.py", "--workloads", "toy-conj", "--seeds", "1", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 40
+    for record in records:
+        assert (record["workload"], record["seed"]) == ("toy-conj", 1)
+        assert record["argv"][0] == "conj"
+        assert "--witness" in record["argv"]
+        assert record["code"] in (0, 1, 2)
+    assert_golden(records, "toy-conj-1")
+
+
 def test_diff_theorem_diagram_queries(tmp_path):
     proc = run_script(
         "diff_toy_queries.py", "--workloads", "theorem-diagram", "--seeds", "1", cwd=tmp_path

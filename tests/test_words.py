@@ -1,13 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from conftest import conjugate_by, is_counter_regular, is_cyclically_reduced, word_of
+from conftest import (
+    conjugate_by,
+    is_counter_regular,
+    is_cyclically_reduced,
+    relabel_mirror,
+    word_of,
+)
 from hypothesis import given, settings, strategies as st
 
 from filebasis.words import (
-    EMPTY,
     MalformedWordError,
-    Word,
     cyclic_insert,
     cyclic_join,
     cyclic_reduce,
@@ -16,32 +20,35 @@ from filebasis.words import (
     free_reduce,
     insert,
     invert,
+    is_regular,
     iter_reduced_words,
     iter_regular_words,
     least_rotation,
     parse_word,
     reduced_variants,
     seam_positions,
+    word_runs,
+    word_text,
 )
 
 letters = st.tuples(st.integers(1, 4), st.sampled_from([1, -1]))
 letter_lists = st.lists(letters, max_size=30)
 
 
-def w(text: str, n: int = 4) -> Word:
+def w(text: str, n: int = 4) -> str:
     return parse_word(text, n)
 
 
 class TestReduce:
     def test_cancellation(self):
-        assert word_of([(1, 1), (1, -1)]) == EMPTY
+        assert word_of([(1, 1), (1, -1)]) == ""
 
     def test_run_merging(self):
-        assert word_of([(1, 1), (1, 1), (2, 1)]).runs == ((1, 2), (2, 1))
+        assert word_runs(word_of([(1, 1), (1, 1), (2, 1)])) == [(1, 2), (2, 1)]
 
     def test_inner_cancellation(self):
         out = word_of([(2, 1), (1, 1), (1, -1), (3, 1)])
-        assert out.runs == ((2, 1), (3, 1))
+        assert word_runs(out) == [(2, 1), (3, 1)]
 
     def test_bad_index(self):
         with pytest.raises(MalformedWordError):
@@ -52,8 +59,7 @@ class TestReduce:
     @given(letter_lists)
     def test_idempotent(self, raw):
         once = word_of(raw)
-        again = Word.from_code(once.code())
-        assert once == again
+        assert free_reduce(once) == once
 
     @given(letter_lists)
     def test_length_shrinks(self, raw):
@@ -65,7 +71,7 @@ class TestReduce:
 
     @given(letter_lists)
     def test_reduced_invariant(self, raw):
-        code = word_of(raw).code()
+        code = word_of(raw)
         assert all(ord(a) ^ ord(b) != 1 for a, b in zip(code, code[1:]))
 
 
@@ -123,7 +129,6 @@ class TestKernel:
     @given(letter_lists)
     def test_free_reduce_deletes_inverse_pairs(self, raw):
         assert free_reduce(encode(raw)) == encode(naive_free_reduce(raw))
-        assert word_of(raw).code() == encode(naive_free_reduce(raw))
 
     @given(letter_lists)
     def test_cyclic_reduce_strips_inverse_ends(self, raw):
@@ -196,34 +201,35 @@ class TestKernel:
         assert encode([(index, -sign)]) == invert(code) == chr(ord(code) ^ 1)
 
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=12))
-    def test_from_runs_is_free_reduction_of_runs(self, runs):
+    def test_parse_word_merges_runs_on_a_stack(self, runs):
         # zero exponents, repeated and cancelling indices: merged on a stack
-        assert Word.from_runs(runs) == Word.from_code(encode(runs))
+        text = " ".join(f"x{index}^{exp}" for index, exp in runs)
+        assert parse_word(text) == free_reduce(encode(runs))
 
-    def test_from_runs_never_expands_exponents(self):
+    def test_parse_word_never_expands_cancelling_runs(self):
         big = 10**12
-        assert Word.from_runs([(1, big), (2, 1), (2, -1), (1, 1 - big)]) == Word(((1, 1),))
-        assert parse_word(f"x2 x1^{big} x1^-{big} x2^-1 x3") == Word(((3, 1),))
+        assert parse_word(f"x1^{big} x2 x2^-1 x1^{1 - big}") == encode([(1, 1)])
+        assert parse_word(f"x2 x1^{big} x1^-{big} x2^-1 x3") == encode([(3, 1)])
         with pytest.raises(MalformedWordError):
-            Word.from_runs([(1, big), (0, 0)])
+            parse_word(f"x1^{big} x0")
 
     @given(letter_lists)
     def test_code_round_trip(self, raw):
-        word = word_of(raw)
-        assert word.code() == free_reduce(encode(raw))
-        assert Word.from_code(word.code()) == word
+        code = free_reduce(encode(raw))
+        assert encode(word_runs(code)) == code
+        assert parse_word(word_text(encode(raw))) == code
 
 
 class TestGroupOps:
     @given(letter_lists)
     def test_inverse_cancels(self, raw):
         word = word_of(raw)
-        assert word * word.inverse() == EMPTY
+        assert free_reduce(word + invert(word)) == ""
 
     @given(letter_lists, letter_lists)
     def test_product_length(self, a, b):
         x, y = word_of(a), word_of(b)
-        assert len(x * y) <= len(x) + len(y)
+        assert len(free_reduce(x + y)) <= len(x) + len(y)
 
     def test_conjugate(self):
         a, g = w("x1"), w("x2")
@@ -232,77 +238,86 @@ class TestGroupOps:
 
 class TestCyclicReduce:
     def test_simple(self):
-        core, conj = w("x1 x2 x1^-1").cyclically_reduce()
+        core, conj = cyclic_reduce(w("x1 x2 x1^-1"))
         assert core == w("x2")
         assert conj == w("x1")
 
     def test_fixed_point(self):
-        core, conj = w("x1^5").cyclically_reduce()
+        core, conj = cyclic_reduce(w("x1^5"))
         assert core == w("x1^5")
-        assert conj == EMPTY
+        assert conj == ""
 
     def test_negative_conjugator(self):
-        core, conj = w("x3^-1 x2 x1 x3").cyclically_reduce()
+        core, conj = cyclic_reduce(w("x3^-1 x2 x1 x3"))
         assert core == w("x2 x1")
         assert conj == w("x3^-1")
 
     @given(letter_lists)
     def test_decomposition(self, raw):
         word = word_of(raw)
-        core, conj = word.cyclically_reduce()
-        assert conj * core * conj.inverse() == word
+        core, conj = cyclic_reduce(word)
+        assert conjugate_by(core, conj) == word
         assert is_cyclically_reduced(core)
 
 
 class TestRegularity:
     def test_empty_both(self):
-        assert EMPTY.is_regular() and is_counter_regular(EMPTY)
+        assert is_regular("") and is_counter_regular("")
 
     def test_letter_power_both(self):
-        assert w("x1^3").is_regular() and is_counter_regular(w("x1^3"))
+        assert is_regular(w("x1^3")) and is_counter_regular(w("x1^3"))
 
     def test_decreasing_not_regular(self):
-        assert not w("x2 x1").is_regular()
+        assert not is_regular(w("x2 x1"))
 
     def test_negative_exponents_fine(self):
-        assert w("x1^-2 x3^4").is_regular()
+        assert is_regular(w("x1^-2 x3^4"))
 
     @given(letter_lists)
     def test_both_iff_letter_power(self, raw):
         word = word_of(raw)
-        both = word.is_regular() and is_counter_regular(word)
-        assert both == (len(word.runs) <= 1)
+        both = is_regular(word) and is_counter_regular(word)
+        assert both == (len(word_runs(word)) <= 1)
 
     @given(letter_lists)
     def test_counter_is_inverse_regular(self, raw):
         word = word_of(raw)
-        assert is_counter_regular(word) == word.inverse().is_regular()
+        assert is_counter_regular(word) == is_regular(invert(word))
+
+    @given(letter_lists)
+    def test_regular_iff_indices_increase_by_run(self, raw):
+        indices = [index for index, _ in word_runs(word_of(raw))]
+        assert is_regular(word_of(raw)) == all(a < b for a, b in zip(indices, indices[1:]))
 
 
 class TestMirror:
     def test_single_letter(self):
-        assert w("x1", 3).relabel_mirror(3) == w("x3^-1", 3)
+        assert relabel_mirror(w("x1", 3), 3) == w("x3^-1", 3)
 
     def test_example(self):
-        assert w("x1^2 x2", 3).relabel_mirror(3) == parse_word("x3^-2 x2^-1", 3)
+        assert relabel_mirror(w("x1^2 x2", 3), 3) == parse_word("x3^-2 x2^-1", 3)
 
     @given(letter_lists)
     def test_involution(self, raw):
         word = word_of(raw)
-        assert word.relabel_mirror(4).relabel_mirror(4) == word
+        assert relabel_mirror(relabel_mirror(word, 4), 4) == word
 
     @given(letter_lists)
     def test_swaps_regularity(self, raw):
         word = word_of(raw)
-        m = word.relabel_mirror(4)
-        assert word.is_regular() == is_counter_regular(m)
-        assert is_counter_regular(word) == m.is_regular()
+        m = relabel_mirror(word, 4)
+        assert is_regular(word) == is_counter_regular(m)
+        assert is_counter_regular(word) == is_regular(m)
 
 
 class TestText:
     def test_parse_print_roundtrip(self):
         for text in ["", "x1", "x1^-1", "x2 x1^-3", "x1^5 x2^5 x3^5 x1^-1 x2^-1"]:
-            assert str(parse_word(text, 5)) == text
+            assert word_text(parse_word(text, 5)) == text
+
+    def test_prints_the_free_reduction(self):
+        assert word_text(encode([(1, 1), (2, 1), (2, -1), (1, 2), (3, -1)])) == "x1^3 x3^-1"
+        assert word_text(encode([(2, 1), (2, -1)])) == ""
 
     def test_bad_tokens(self):
         for text in ["y1", "x", "x1^", "x0", "x1 ^2"]:
@@ -316,7 +331,7 @@ class TestText:
     @given(letter_lists)
     def test_roundtrip_random(self, raw):
         word = word_of(raw)
-        assert parse_word(str(word), 4) == word
+        assert parse_word(word_text(word), 4) == word
 
 
 def deglex_key(code):
@@ -345,7 +360,7 @@ SORTED_CODES = {n: sorted_reduced_codes(n, 4) for n in (1, 2, 3)}
 
 def position(text, n):
     """Position of a word of length <= 4 in the deg-lex enumeration."""
-    return SORTED_CODES[n].index(parse_word(text, n).code())
+    return SORTED_CODES[n].index(parse_word(text, n))
 
 
 class TestDeglex:
@@ -354,7 +369,7 @@ class TestDeglex:
         for r in range(8):
             index, sign = r // 2 + 1, 1 if r % 2 == 0 else -1
             assert ord(encode([(index, sign)])) ^ 1 == r
-        singles = [word.code() for _, word in zip(range(9), iter_reduced_words(4))][1:]
+        singles = [word for _, word in zip(range(9), iter_reduced_words(4))][1:]
         assert singles == [chr(r ^ 1) for r in range(8)]
 
     def test_length_dominates(self):
@@ -369,25 +384,25 @@ class TestDeglex:
         assert position("x2^-1 x1", 3) < position("x2^-1 x1^-1", 3)
 
     def test_successor_start(self):
-        assert deglex_successor("", 3) == w("x1", 3).code()
+        assert deglex_successor("", 3) == w("x1", 3)
 
     def test_successor_wraps_length(self):
-        assert deglex_successor(w("x3^-1", 3).code(), 3) == w("x1^2", 3).code()
-        assert deglex_successor(w("x3^-3", 3).code(), 3) == w("x1^4", 3).code()
+        assert deglex_successor(w("x3^-1", 3), 3) == w("x1^2", 3)
+        assert deglex_successor(w("x3^-3", 3), 3) == w("x1^4", 3)
 
     def test_successor_example(self):
-        assert deglex_successor(w("x1 x2", 3).code(), 3) == w("x1 x2^-1", 3).code()
+        assert deglex_successor(w("x1 x2", 3), 3) == w("x1 x2^-1", 3)
         # the fill after x1^-1 is x1^-1, not the cancelling x1
-        assert deglex_successor(w("x3 x1 x3^-1", 3).code(), 3) == w("x3 x1^-2", 3).code()
+        assert deglex_successor(w("x3 x1 x3^-1", 3), 3) == w("x3 x1^-2", 3)
         # x2 x2^-1 cancels, so x2 x3 follows x2^2
-        assert deglex_successor(w("x2^2", 3).code(), 3) == w("x2 x3", 3).code()
+        assert deglex_successor(w("x2^2", 3), 3) == w("x2 x3", 3)
 
     def test_enumeration_matches_sorting(self):
         by_successor = []
         for word in iter_reduced_words(3):
             if len(word) > 4:
                 break
-            by_successor.append(word.code())
+            by_successor.append(word)
         # independently: all reduced words of length <= 4, sorted by key
         assert by_successor == SORTED_CODES[3]
         assert len(by_successor) == 1 + 6 + 30 + 150 + 750
@@ -406,10 +421,10 @@ class TestDeglex:
 
 class TestRegularEnumeration:
     def test_regular_stream_is_sorted_and_regular(self):
-        seen = list(iter_regular_words(3, 4))
-        keys = [deglex_key(u.code()) for u in seen]
+        seen = [encode(runs) for runs in iter_regular_words(3, 4)]
+        keys = [deglex_key(u) for u in seen]
         assert keys == sorted(keys)
-        assert all(u.is_regular() for u in seen)
+        assert all(is_regular(u) for u in seen)
         assert len(set(seen)) == len(seen)
 
     def test_regular_stream_complete(self):
@@ -418,6 +433,6 @@ class TestRegularEnumeration:
         for word in iter_reduced_words(2):
             if len(word) > 4:
                 break
-            if word.is_regular():
+            if is_regular(word):
                 expected.append(word)
-        assert list(iter_regular_words(2, 4)) == expected
+        assert [encode(runs) for runs in iter_regular_words(2, 4)] == expected
