@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from itertools import islice
 
 from . import construction, decision, diagram
@@ -31,15 +30,8 @@ def _emit(obj: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedParamsError(f"bad rational {text!r}: {exc}") from exc
-
-
 def _params_from_args(args) -> ConstructionParams:
-    return ConstructionParams(n=args.n, lambda1=_parse_fraction(args.lambda1), N=args.N)
+    return ConstructionParams(n=args.n, lambda1=args.lambda1, N=args.N)
 
 
 def _budget_from_args(args) -> Budget:

@@ -26,7 +26,6 @@ from .words import (
     is_regular,
     iter_reduced_words,
     parse_word,
-    reduced_variants,
     relator_variants,
     word_runs,
     word_text,
@@ -50,10 +49,12 @@ class ConstructionParams:
     N: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "lambda1", Fraction(self.lambda1))
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise MalformedParamsError(f"bad rational {self.lambda1!r}: {exc}") from exc
         if self.n < 1:
             raise MalformedParamsError(f"n must be positive, got {self.n}")
-        if not isinstance(self.lambda1, Fraction):
-            object.__setattr__(self, "lambda1", Fraction(self.lambda1))
         if not 0 < self.lambda1 < 1:
             raise MalformedParamsError(f"lambda1 must lie in (0,1), got {self.lambda1}")
         if self.N < 1:
@@ -231,14 +232,9 @@ class Presentation:
     # -- search data, computed once per presentation ----------------------
 
     @cached_property
-    def variants(self) -> tuple[str, ...]:
-        """Code strings of every rotation of each relator and of its inverse."""
-        return relator_variants(self.relator_words())
-
-    @cached_property
     def faces(self) -> tuple[tuple[str, str], ...]:
-        """Each variant with its free reduction (`words.reduced_variants`)."""
-        return reduced_variants(self.variants)
+        """Each relator variant with its free reduction (`words.relator_variants`)."""
+        return relator_variants(self.relator_words())
 
     @cached_property
     def lattice(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -291,9 +287,7 @@ class Presentation:
     @staticmethod
     def from_dict(data: dict) -> "Presentation":
         try:
-            params = ConstructionParams(
-                n=int(data["n"]), lambda1=Fraction(data["lambda1"]), N=int(data["N"])
-            )
+            params = ConstructionParams(n=int(data["n"]), lambda1=data["lambda1"], N=int(data["N"]))
             relators = tuple(
                 Relator(
                     i=int(item["i"]),
@@ -303,7 +297,8 @@ class Presentation:
                 )
                 for item in data.get("relators", [])
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+            # AttributeError: a relator's w or r that is not text
             raise MalformedParamsError(f"bad presentation data: {exc}") from exc
         truncated = data.get("truncated", False)
         if not isinstance(truncated, bool):

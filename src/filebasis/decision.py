@@ -39,7 +39,6 @@ from .words import (
     iter_reduced_words,
     iter_regular_words,
     least_rotation,
-    reduced_variants,
     relator_variants,
     seam_positions,
 )
@@ -170,7 +169,7 @@ def _fill_search(
     """Dijkstra over canonical cyclic words; cost = accumulated face boundary length.
 
     faces pairs each relator variant, as the trace records it, with its
-    free reduction, which is what gets inserted (`reduced_variants`).  A
+    free reduction, which is what gets inserted (`relator_variants`).  A
     filling of the contour, which need not be reduced, comes back as its
     witness.
     """
@@ -492,7 +491,7 @@ def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) ->
     # Steps 3-4: cut-annulus search over conjugators.  Every z below has
     # the abelian image of u v^-1, which passed the test above, and the
     # trivial words' images lie in the relator lattice: no z is obstructed.
-    faces = reduced_variants(relator_variants(presentation.relator_words() + trivial_words))
+    faces = relator_variants(presentation.relator_words() + trivial_words)
     area_bound = 2 * bound_len - (len(u) + len(v))
     candidates = short_words()
     for s in islice(candidates, budget.max_states):

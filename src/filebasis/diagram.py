@@ -34,7 +34,7 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .words import encode, free_reduce, invert, parse_letter, relator_variants, word_text
+from .words import encode, invert, parse_letter, relator_variants, word_text
 
 
 class DiagramError(ValueError):
@@ -639,7 +639,7 @@ def check_letter_budget(
     twice = Counter(ord(d.labels[dart]) // 2 + 1 for dart in external)
     per_letter = {i: twice[i] // 2 for i in letters}
     count = sum(per_letter.values())
-    Sigma = metrics(d, sel).Sigma
+    Sigma = sum(map(len, d.faces.values()))
     k = len(letters)
     ok = Fraction(count) < Fraction(k, n) * Sigma
     return ok, {"count": count, "per_letter": per_letter, "Sigma": Sigma, "k": k}
@@ -882,12 +882,12 @@ def rotate_contour(d: Diagram, k: int) -> Diagram:
 
 def random_diagram(relators: Sequence[str], faces: int, rng) -> Diagram:
     """A random valid disc diagram with the given number of faces, grown by
-    gluing the free reductions of relator variants (code strings) along
-    boundary segments."""
+    gluing relator variants (code strings), unchanged, along boundary
+    segments, so every face reads a rotation of some r^{+-1}."""
     if faces < 1:
         raise DiagramError("need at least one face")
-    variants = relator_variants(relators)
-    d = polygon_diagram(free_reduce(rng.choice(variants)), face_id="f0")
+    variants = [variant for variant, _ in relator_variants(relators)]
+    d = polygon_diagram(rng.choice(variants), face_id="f0")
     for step in range(1, faces):
         d = rotate_contour(d, rng.randrange(len(d.contours[0])))
         contour = d.contours[0]
@@ -899,7 +899,7 @@ def random_diagram(relators: Sequence[str], faces: int, rng) -> Diagram:
             fits = [v for v in variants if len(v) > overlap and v.startswith(prefix)]
             if not fits:
                 continue
-            d = glue_boundary(d, free_reduce(rng.choice(fits)), f"f{step}", overlap)
+            d = glue_boundary(d, rng.choice(fits), f"f{step}", overlap)
             placed = True
             break
         if not placed:

@@ -207,24 +207,16 @@ def cyclic_insert(word: str, j: int, variant: str) -> str:
     return least_rotation(cyclic_join(word, j, variant))
 
 
-def relator_variants(relators: Iterable[str]) -> tuple[str, ...]:
-    """All rotations of each relator code string and of its inverse,
-    deduplicated, sorted."""
+def relator_variants(relators: Iterable[str]) -> tuple[tuple[str, str], ...]:
+    """The faces over the relators: every rotation of each relator code
+    string and of its inverse, deduplicated, sorted, each paired with its
+    free reduction, which insertion takes (a rotation of a relator that is
+    not cyclically reduced is not freely reduced)."""
     variants: set[str] = set()
     for r in relators:
         for base in (r, invert(r)):
             variants.update(base[k:] + base[:k] for k in range(len(base)))
-    return tuple(sorted(variants))
-
-
-def reduced_variants(variants: Iterable[str]) -> tuple[tuple[str, str], ...]:
-    """Each variant with its free reduction, the form insertion takes.
-
-    A rotation of a relator that is not cyclically reduced (a hand-edited
-    one, say) is not freely reduced; inserting its free reduction leaves
-    the same reduced word.
-    """
-    return tuple((variant, free_reduce(variant)) for variant in variants)
+    return tuple((variant, free_reduce(variant)) for variant in sorted(variants))
 
 
 def ab_vector(code: str, n: int) -> tuple[int, ...]:

@@ -311,6 +311,9 @@ class TestTrustBoundary:
             "a list",
             "n infinite",
             "lambda1 infinite",
+            "lambda1 of 1/0",
+            "w not text",
+            "r not text",
         ],
     )
     def test_malformed_presentation_is_a_data_error(
@@ -327,8 +330,14 @@ class TestTrustBoundary:
             data = [1, 2]
         elif case == "n infinite":
             data["n"] = float("inf")
-        else:
+        elif case == "lambda1 infinite":
             data["lambda1"] = float("inf")
+        elif case == "lambda1 of 1/0":
+            data["lambda1"] = "1/0"
+        elif case == "w not text":
+            data["relators"][0]["w"] = 5
+        else:
+            data["relators"][0]["r"] = 5
         path = tmp_path / "pres.json"
         path.write_text(json.dumps(data))
         code = main(["eq", "x1", "x1", "--presentation", str(path)])

@@ -28,6 +28,9 @@ class TestParams:
             ConstructionParams(3, Fraction(2), 2)
         with pytest.raises(MalformedParamsError):
             ConstructionParams(3, Fraction(1, 15), 0)
+        for lambda1 in ("1/0", "zzz", None, float("inf")):
+            with pytest.raises(MalformedParamsError, match="bad rational"):
+                ConstructionParams(0, lambda1, 2)
 
     def test_derived_constants(self, theorem_params):
         assert theorem_params.lambda2 == Fraction(2, 63)

@@ -38,7 +38,6 @@ from filebasis.words import (
     iter_regular_words,
     least_rotation,
     parse_word,
-    reduced_variants,
     relator_variants,
     word_text,
 )
@@ -553,7 +552,7 @@ def _unpruned_fill_search(faces, contour, area_bound, budget):
 
 
 def _faces(*relators):
-    return reduced_variants(relator_variants([w(text) for text in relators]))
+    return relator_variants([w(text) for text in relators])
 
 
 FACE_SETS = {

@@ -10,7 +10,7 @@ import pytest
 
 from filebasis import diagram as dg
 from filebasis.construction import build_relator
-from filebasis.words import encode, free_reduce, invert, parse_word, relator_variants
+from filebasis.words import encode, invert, parse_word, relator_variants
 
 
 @pytest.fixture(scope="module")
@@ -400,21 +400,22 @@ class TestRandomCorpus:
             chi = len(d.vertices) - d.edge_count() + len(d.faces) + len(d.contours)
             assert chi == 2
 
-    def test_faces_read_reduced_variants(self, rng):
+    @pytest.mark.parametrize(
+        "relator",
+        ["x1 x2 x3^2 x1^-1", "x1^5 x2^5 x3^5 x1^-1 x2^-1", "x2^-1 x1^3 x3 x2"],
+        ids=["conjugate", "toy", "other"],
+    )
+    def test_faces_read_variants(self, relator):
         # a relator that is not cyclically reduced has rotations that are not
-        # freely reduced; every face reads the free reduction of one.  A fit
-        # chosen by its unreduced length can be too short to glue once reduced.
-        relator = parse_word("x1 x2 x3^2 x1^-1", 3)
-        reduced = {free_reduce(v) for v in relator_variants([relator])}
-        glued = 0
-        for _ in range(40):
-            try:
-                d = dg.random_diagram([relator], 2, rng)
-            except dg.DiagramError:
-                continue
-            glued += len(d.faces) == 2
-            assert {d.face_code(fid) for fid in d.faces} <= reduced
-        assert glued >= 20
+        # freely reduced; every face reads one of them unchanged, which is
+        # what the face check accepts
+        relators = [parse_word(relator, 3)]
+        variants = {variant for variant, _ in relator_variants(relators)}
+        rng = random.Random(1)
+        for _ in range(200):
+            d = dg.random_diagram(relators, rng.randrange(1, 7), rng)
+            assert dg.validate_diagram(d, relators).ok
+            assert {d.face_code(fid) for fid in d.faces} <= variants
 
 
 # ---------------------------------------------------------------------------

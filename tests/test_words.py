@@ -25,7 +25,7 @@ from filebasis.words import (
     iter_regular_words,
     least_rotation,
     parse_word,
-    reduced_variants,
+    relator_variants,
     seam_positions,
     word_runs,
     word_text,
@@ -183,11 +183,22 @@ class TestKernel:
         # conjugator, often not cyclically reduced: then not freely reduced
         relator = free_reduce(encode(outer) + encode(raw_relator) + invert(encode(outer)))
         k = data.draw(st.integers(0, len(relator)))
-        ((variant, face),) = reduced_variants([relator[k:] + relator[:k]])
+        variant = relator[k:] + relator[:k]
+        face = free_reduce(variant)
         j = data.draw(st.integers(0, max(len(word) - 1, 0)))
         rotation = word[j:] + word[:j]
         expected = least_rotation(cyclic_reduce(rotation + variant)[0])
         assert cyclic_insert(word, j, face) == expected
+
+    @given(st.lists(letter_lists, max_size=3), st.lists(letters, max_size=3))
+    def test_relator_variants_pair_rotations_with_reductions(self, raws, outer):
+        relators = [free_reduce(encode(outer) + encode(raw) + invert(encode(outer))) for raw in raws]
+        pairs = relator_variants(relators)
+        rotations = {
+            base[k:] + base[:k] for r in relators for base in (r, invert(r)) for k in range(len(base))
+        }
+        assert [variant for variant, _ in pairs] == sorted(rotations)
+        assert all(face == free_reduce(variant) for variant, face in pairs)
 
     @given(letter_lists, letter_lists)
     def test_encoding_preserves_tuple_order(self, a, b):
