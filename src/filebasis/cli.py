@@ -54,12 +54,10 @@ def _load_presentation(path: str) -> Presentation:
         raise construction.ConstructionError(str(exc)) from exc
 
 
-def _outcome_exit(out: Outcome) -> int:
-    if out.is_yes:
-        return EX_YES
-    if out.is_no:
-        return EX_NO
-    return EX_BUDGET
+def _answer(out: Outcome, extra: dict) -> int:
+    """Print the outcome, then `extra`; exit 0, 1 or 2 for yes, no or budget-exceeded."""
+    _emit({"outcome": out.value, **extra})
+    return EX_YES if out.is_yes else EX_NO if out.is_no else EX_BUDGET
 
 
 def _witness_dict(witness) -> object:
@@ -134,22 +132,14 @@ def cmd_eq(args) -> int:
     u = parse_word(args.u, pres.params.n)
     v = parse_word(args.v, pres.params.n)
     out = decision.equals_in_G(pres, u, v, _budget_from_args(args), engine=args.engine)
-    result = {"outcome": out.value}
-    if args.witness:
-        result["witness"] = _witness_dict(out.witness)
-    _emit(result)
-    return _outcome_exit(out)
+    return _answer(out, {"witness": _witness_dict(out.witness)} if args.witness else {})
 
 
 def cmd_nf(args) -> int:
     pres = _load_presentation(args.presentation)
     g = parse_word(args.g, pres.params.n)
     out = decision.regular_normal_form(pres, g, _budget_from_args(args), engine=args.engine)
-    result = {"outcome": out.value}
-    if out.is_yes:
-        result["normal_form"] = word_text(out.witness)
-    _emit(result)
-    return _outcome_exit(out)
+    return _answer(out, {"normal_form": word_text(out.witness)} if out.is_yes else {})
 
 
 def cmd_conj(args) -> int:
@@ -157,11 +147,11 @@ def cmd_conj(args) -> int:
     u = parse_word(args.u, pres.params.n)
     v = parse_word(args.v, pres.params.n)
     out = decision.are_conjugate(pres, u, v, _budget_from_args(args))
-    result = {"outcome": out.value}
-    if args.witness or out.is_yes:
-        result["witness"] = _witness_dict(out.witness)
-    _emit(result)
-    return _outcome_exit(out)
+    shown = args.witness or out.is_yes
+    return _answer(out, {"witness": _witness_dict(out.witness)} if shown else {})
+
+
+_CONDITION_KEYS = {"B": "condition_B", "X": "condition_X", "main-lemma": "main_lemma"}
 
 
 def cmd_check_diagram(args) -> int:
@@ -169,40 +159,29 @@ def cmd_check_diagram(args) -> int:
     d = diagram.load_diagram(args.diagram, pres.params.n)
     report = diagram.validate_diagram(d, pres.relator_words())
     result = {"validation": report.as_dict()}
-    if not report.ok:
-        _emit(result)
-        return EX_NO
-    status = EX_YES
-    if args.condition:
-        params = pres.params
-        sel = diagram.special_selection(d, params.n)
-        if args.condition == "B":
-            reports = diagram.check_condition_B(d, sel, params.lambda1, params.lambda2)
-            result["condition_B"] = [asdict(r) for r in reports]
-            if not all(r.b0 and r.b1 and r.b2 for r in reports):
-                status = EX_NO
-        elif args.condition == "X":
-            try:
-                ok, met = diagram.check_condition_X(d, sel, params.mu)
-                result["condition_X"] = {"passed": ok, "metrics": asdict(met)}
-            except diagram.PreconditionError as exc:
-                ok = False
-                result["condition_X"] = {"passed": False, "precondition": str(exc)}
-            if not ok:
-                status = EX_NO
-        elif args.condition == "main-lemma":
-            try:
-                ok, met = diagram.check_main_lemma(d, sel, params)
-                result["main_lemma"] = {"passed": ok, "metrics": asdict(met)}
-            except diagram.PreconditionError as exc:
-                # valid data outside the lemma's hypotheses: a no, not a data error
-                ok = False
+    ok = report.ok
+    if ok and args.condition:
+        params, key = pres.params, _CONDITION_KEYS[args.condition]
+        try:
+            sel = diagram.special_selection(d, params.n)
+            if args.condition == "B":
+                reports = diagram.check_condition_B(d, sel, params.lambda1, params.lambda2)
+                result[key] = [asdict(r) for r in reports]
+                ok = all(r.passed for r in reports)
+            else:
+                if args.condition == "X":
+                    ok, met = diagram.check_condition_X(d, sel, params.mu)
+                else:
+                    ok, met = diagram.check_main_lemma(d, sel, params)
+                result[key] = {"passed": ok, "metrics": asdict(met)}
+        except diagram.PreconditionError as exc:
+            # valid data outside the checker's hypotheses: a no, not a data error
+            if exc.reports is not None:
                 result["condition_B"] = [asdict(r) for r in exc.reports]
-                result["main_lemma"] = {"passed": False, "precondition": str(exc)}
-            if not ok:
-                status = EX_NO
+            result[key] = {"passed": False, "precondition": str(exc)}
+            ok = False
     _emit(result)
-    return status
+    return EX_YES if ok else EX_NO
 
 
 def cmd_enum_words(args) -> int:
@@ -230,9 +209,9 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-edges", type=_positive_int, default=10**6)
-    p.add_argument("--max-len", type=_positive_int, default=200)
-    p.add_argument("--max-states", type=_positive_int, default=20000)
+    p.add_argument("--max-edges", type=_positive_int, default=Budget.max_edges)
+    p.add_argument("--max-len", type=_positive_int, default=Budget.max_word_len)
+    p.add_argument("--max-states", type=_positive_int, default=Budget.max_states)
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:

@@ -183,6 +183,20 @@ def build_relator(p: ConstructionParams, i: int, w: str) -> Relator:
     return rel
 
 
+def _shape_problems(w: str, n: int) -> list[str]:
+    """The shape constraints on a relator's word w that w violates; the
+    empty word is regular."""
+    runs = word_runs(w)
+    problems = []
+    if runs and runs[0][0] == 1:
+        problems.append("w starts with x_1^{+-1}")
+    if runs and runs[-1][0] == n:
+        problems.append("w ends with x_n^{+-1}")
+    if is_regular(w):
+        problems.append("w is regular")
+    return problems
+
+
 def check_relator(p: ConstructionParams, rel: Relator) -> list[str]:
     """Names of violated per-relator constraints (empty list when clean)."""
     problems = []
@@ -194,13 +208,7 @@ def check_relator(p: ConstructionParams, rel: Relator) -> list[str]:
         problems.append("length identity n*m + |w| fails")
     if cyclic_reduce(rel.r)[0] != rel.r:
         problems.append("relator is not cyclically reduced")
-    runs = word_runs(rel.w)
-    if runs and runs[0][0] == 1:
-        problems.append("w starts with x_1^{+-1}")
-    if runs and runs[-1][0] == p.n:
-        problems.append("w ends with x_n^{+-1}")
-    if is_regular(rel.w):
-        problems.append("w is regular")
+    problems += _shape_problems(rel.w, p.n)
     if p.lambda1 * (p.n * rel.m + len(rel.w)) < len(rel.w):
         problems.append("growth inequality l1*(n*m + |w|) >= |w| fails")
     return problems
@@ -310,11 +318,6 @@ class Presentation:
         return Presentation.from_dict(json.loads(text))
 
 
-def _shape_ok(w: str, n: int) -> bool:
-    runs = word_runs(w)
-    return bool(runs) and runs[0][0] != 1 and runs[-1][0] != n and not is_regular(w)
-
-
 def next_w(
     p: ConstructionParams, relators: Sequence[Relator], budget: "decision.Budget"
 ) -> "decision.Outcome":
@@ -331,7 +334,7 @@ def next_w(
     n = p.n
     presentation = Presentation(p, tuple(relators))
     for w in islice(iter_reduced_words(n), budget.max_states):
-        if not _shape_ok(w, n):
+        if _shape_problems(w, n):
             continue
         if not relators:
             return decision.Outcome(decision.YES, witness=w)

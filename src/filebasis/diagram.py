@@ -43,9 +43,9 @@ class DiagramError(ValueError):
 
 class PreconditionError(DiagramError):
     """A valid map outside a checker's hypotheses; the main lemma's carries
-    the map's condition B reports."""
+    the map's condition B reports, which may be an empty list."""
 
-    def __init__(self, message: str, reports: Sequence = ()) -> None:
+    def __init__(self, message: str, reports: Optional[Sequence] = None) -> None:
         super().__init__(message)
         self.reports = reports
 
@@ -348,7 +348,8 @@ def special_selection(d: Diagram, n: int) -> Selection:
     """The per-face designated subpath reading x_1^m...x_n^m (or its mirror).
 
     Each face must carry exactly one qualifying subpath s with
-    |s| > n/(2n-2) * |boundary|, or |s| > |boundary|/2 when n = 1.
+    |s| > n/(2n-2) * |boundary|, or |s| > |boundary|/2 when n = 1; a face
+    without one is outside the checkers' hypotheses (`PreconditionError`).
     """
     min_fraction = Fraction(n, 2 * n - 2) if n > 1 else Fraction(1, 2)
     per_face = {}
@@ -356,10 +357,10 @@ def special_selection(d: Diagram, n: int) -> Selection:
         label = d.face_code(fid)
         hit = _find_special_subpath(label, n)
         if hit is None:
-            raise DiagramError(f"face {fid!r}: no special subpath found")
+            raise PreconditionError(f"face {fid!r}: no special subpath found")
         start, length = hit
         if Fraction(length) <= min_fraction * len(label):
-            raise DiagramError(
+            raise PreconditionError(
                 f"face {fid!r}: special subpath of length {length} fails the "
                 f"bound over boundary length {len(label)}"
             )
@@ -476,6 +477,10 @@ class FaceBReport:
     b1: bool
     b2: bool
     detail: str
+
+    @property
+    def passed(self) -> bool:
+        return self.b0 and self.b1 and self.b2
 
 
 def check_condition_B(
@@ -619,7 +624,7 @@ def check_main_lemma(d: Diagram, sel: Selection, params) -> tuple[bool, DiagramM
     if len(d.contours) > 3:
         raise PreconditionError("more than 3 contours", reports)
     for rep in reports:
-        if not (rep.b0 and rep.b1 and rep.b2):
+        if not rep.passed:
             message = f"face {rep.face!r} fails the per-face conditions: {rep.detail}"
             raise PreconditionError(message, reports)
     met = metrics(d, sel)
@@ -802,14 +807,6 @@ def polygon_diagram(code: str, face_id: str = "f0") -> Diagram:
     stops = [f"v{j}" for j in range(len(code))]
     darts, invs, froms, labels = _path(code, stops + stops[:1], lambda j: f"d{j}")
     return _diagram(stops, darts, invs, froms, labels, [(face_id, darts[::2])], [darts[::-2]])
-
-
-def degenerate_path_diagram(code: str) -> Diagram:
-    """Face-free disc whose single contour reads code code^-1."""
-    stops = [f"v{j}" for j in range(len(code) + 1)]
-    darts, invs, froms, labels = _path(code, stops, lambda j: f"d{j}")
-    contour = darts[::2] + darts[::-2]
-    return _diagram(stops, darts, invs, froms, labels, [], [contour] if contour else [])
 
 
 def sphere_double(code: str) -> Diagram:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from filebasis import diagram as dg
 from filebasis.construction import ConstructionParams, generate
 from filebasis.decision import Budget
 from filebasis.words import MalformedWordError, cyclic_reduce, encode, free_reduce, invert, is_regular
@@ -33,6 +34,14 @@ def relabel_mirror(code, n):
     if any(ord(c) >= 2 * n for c in code):
         raise MalformedWordError("letter index exceeds alphabet size")
     return "".join(chr(2 * n - 1 - ord(c)) for c in code)
+
+
+def degenerate_path_diagram(code):
+    """Face-free disc whose single contour reads code code^-1."""
+    stops = [f"v{j}" for j in range(len(code) + 1)]
+    darts, invs, froms, labels = dg._path(code, stops, lambda j: f"d{j}")
+    contour = darts[::2] + darts[::-2]
+    return dg._diagram(stops, darts, invs, froms, labels, [], [contour] if contour else [])
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import degenerate_path_diagram
 
 from filebasis.cli import main
 from filebasis.construction import Presentation
@@ -98,6 +99,12 @@ class TestEq:
         assert code == 0
         assert out["witness"]["kind"] == "rewriting"
 
+    def test_edge_cap_is_not_no(self, run, pres_file):
+        # one edge cannot hold the 4-letter contour, but only a search to the true bound says no
+        code, out = run("eq", "x1 x2", "x2 x1", "--presentation", pres_file, "--max-edges", "1")
+        assert code == 2
+        assert out == {"outcome": "budget-exceeded"}
+
     def test_bad_word(self, run, pres_file):
         code, _ = run("eq", "x9", "x1", "--presentation", pres_file)
         assert code == 65
@@ -189,7 +196,7 @@ class TestCheckDiagram:
 
         # a valid face-free path: not semisimple, so outside condition X's hypotheses
         path = tmp_path / "path.json"
-        path.write_text(json.dumps(dg.diagram_to_dict(dg.degenerate_path_diagram(parse_word("x1")))))
+        path.write_text(json.dumps(dg.diagram_to_dict(degenerate_path_diagram(parse_word("x1")))))
         code = main(["check-diagram", str(path), "--presentation", pres_file, "--condition", "X"])
         captured = capsys.readouterr()
         assert code == 1  # a no, not exit 65
@@ -197,6 +204,52 @@ class TestCheckDiagram:
         out = json.loads(captured.out)
         assert out["validation"]["ok"]
         assert out["condition_X"] == {"passed": False, "precondition": "map is not semisimple"}
+
+    def test_main_lemma_passes(self, run, tmp_path, toy_presentation, diagram_file):
+        # lambda1 = 1/5 lets the toy face meet condition B, so the lemma applies
+        data = toy_presentation.as_dict()
+        data["lambda1"] = "1/5"
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(data))
+        code, out = run(
+            "check-diagram", diagram_file, "--presentation", str(path), "--condition", "main-lemma"
+        )
+        assert code == 0
+        assert out["main_lemma"] == {
+            "passed": True, "metrics": {"S": 15, "Sigma": 17, "E": 17, "F": 1}
+        }
+
+    @pytest.mark.parametrize(
+        "condition, key", [("B", "condition_B"), ("X", "condition_X"), ("main-lemma", "main_lemma")]
+    )
+    def test_selection_precondition_fails(self, capsys, tmp_path, condition, key):
+        from filebasis import diagram as dg
+        from filebasis.words import parse_word
+
+        # the face's special subpath x1 x2 x3 is too short for the n/(2n-2) bound
+        relator = "x1 x2 x3 x1^-1 x2^-1"
+        pres = {
+            "n": 3, "lambda1": "1/15", "N": 2,
+            "relators": [{"i": 1, "w": "x2 x1", "m": 1, "r": relator}],
+        }
+        pres_path, face_path = tmp_path / "pres.json", tmp_path / "face.json"
+        pres_path.write_text(json.dumps(pres))
+        face_path.write_text(json.dumps(dg.diagram_to_dict(dg.polygon_diagram(parse_word(relator)))))
+        argv = ["check-diagram", str(face_path), "--presentation", str(pres_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        code = main([*argv, "--condition", condition])
+        captured = capsys.readouterr()
+        assert code == 1  # a no, not exit 65
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["validation"]["ok"]
+        assert out[key] == {
+            "passed": False,
+            "precondition": "face 'f0': special subpath of length 3 fails the bound "
+            "over boundary length 5",
+        }
+        assert set(out) == {"validation", key}
 
     def test_invalid_diagram(self, run, pres_file, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,27 @@ from filebasis.construction import (
     ConstructionError,
     MalformedParamsError,
     Presentation,
+    Relator,
     build_relator,
     check_relator,
     generate,
     next_w,
+    regular_head,
     validate_params,
 )
 from filebasis.decision import Budget
-from filebasis.words import is_regular, iter_reduced_words, parse_word, word_runs, word_text
+from filebasis.words import (
+    free_reduce,
+    invert,
+    is_regular,
+    iter_reduced_words,
+    parse_word,
+    word_runs,
+    word_text,
+)
+
+X3 = parse_word("x3", 3)
+LOOSE = ConstructionParams(3, Fraction(1, 2), 2)  # lambda1 = 1/2 meets the growth inequality
 
 
 class TestParams:
@@ -108,6 +122,48 @@ class TestBuildRelator:
     def test_bad_alphabet(self, toy_params):
         with pytest.raises(ConstructionError):
             build_relator(toy_params, 1, parse_word("x4 x1", 4))
+
+
+def _loose_relator(text, i=1):
+    """Relator i over the word `text` under `LOOSE`, assembled without
+    `build_relator`'s checks."""
+    w = parse_word(text, 3)
+    m = LOOSE.N * len(w) + i
+    return Relator(i, w, m, free_reduce(regular_head(3, m) + invert(w)))
+
+
+class TestRelatorChecks:
+    """Every message of `check_relator` and of `Presentation.validate`'s
+    cross-relator checks, on hand-altered relators."""
+
+    CLEAN = _loose_relator("x2 x1")
+
+    def test_clean(self):
+        assert check_relator(LOOSE, self.CLEAN) == []
+
+    ALTERED = {
+        "exponent is not N|w| + i": replace(CLEAN, m=CLEAN.m + 1),
+        "relator is not x_1^m...x_n^m w^-1": replace(CLEAN, r=CLEAN.r[1:]),
+        "length identity n*m + |w| fails": replace(CLEAN, r=CLEAN.r[1:]),
+        "relator is not cyclically reduced": replace(CLEAN, r=invert(X3) + CLEAN.r + X3),
+        "w starts with x_1^{+-1}": _loose_relator("x1 x3 x2"),
+        "w ends with x_n^{+-1}": _loose_relator("x2 x3"),
+        "w is regular": _loose_relator("x2^2"),
+    }
+
+    @pytest.mark.parametrize("message", list(ALTERED))
+    def test_message(self, message):
+        assert message in check_relator(LOOSE, self.ALTERED[message])
+
+    def test_cross_relator_messages(self):
+        r1, r2 = self.CLEAN, _loose_relator("x2 x1", i=2)
+        assert Presentation(LOOSE, (r1, r2)).validate() == []
+        assert Presentation(LOOSE, (r1, r1)).validate() == [
+            "exponents m_i are not pairwise distinct"
+        ]
+        assert Presentation(LOOSE, (r2, r1)).validate() == [
+            "relator lengths are not nondecreasing"
+        ]
 
 
 class TestNextW:

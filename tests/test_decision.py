@@ -1,5 +1,6 @@
 import heapq
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -138,6 +139,10 @@ class TestInC:
         out = in_C(toy_presentation, 16, w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
         assert not out.is_yes
 
+    def test_no_edges_is_no(self, toy_presentation, toy_budget):
+        # the abelian images agree, but no diagram with 0 edges has a contour of 4 letters
+        assert in_C(toy_presentation, 0, w("x1 x2"), w("x2 x1"), toy_budget).is_no
+
     def test_ab_obstruction_is_no(self, toy_presentation, toy_budget):
         out = in_C(toy_presentation, 10**6, w("x1"), w("x2"), toy_budget)
         assert out.is_no
@@ -153,6 +158,41 @@ class TestInC:
         out = in_C(toy_presentation, len(r1), w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
         forged = dec.FillWitness(out.witness.contour, out.witness.trace, out.witness.edges + 1, out.witness.area)
         assert not replay_fill(forged, toy_presentation)
+
+
+class TestReplayGuards:
+    """Each forged witness fails its independent replay; the genuine one passes."""
+
+    @pytest.fixture()
+    def filling(self, toy_presentation, toy_budget):
+        r1 = toy_presentation.relators[0].r
+        out = in_C(toy_presentation, len(r1), w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
+        assert replay_fill(out.witness, toy_presentation)
+        assert len(out.witness.trace) == 1
+        return out.witness
+
+    def test_forged_fillings_fail(self, filling, toy_presentation):
+        ((j, face),) = filling.trace
+        forged = {
+            "unknown face label": replace(filling, trace=((j, face[1:]),)),
+            "position past the word": replace(filling, trace=((len(filling.contour), face),)),
+            "area off by one": replace(filling, area=filling.area + 1),
+            # edges and area agree with the contour; only the word left over gives it away
+            "empty trace": dec.FillWitness(w("x1 x2"), (), 1, 0),
+        }
+        for case, witness in forged.items():
+            assert not replay_fill(witness, toy_presentation), case
+
+    def test_forged_rewrites_fail(self, toy_presentation):
+        r1 = toy_presentation.relators[0].r
+        u = free_reduce(r1 + r1)
+        genuine = dec.RewriteWitness("", (u, r1, ""), ("",))
+        assert replay_rewrite(genuine, toy_presentation, u, "")
+        # the chain must start at u
+        assert not replay_rewrite(genuine, toy_presentation, w("x1"), "")
+        # u to the empty word deletes two faces: not one insertion
+        skipped = dec.RewriteWitness("", (u, ""), ("",))
+        assert not replay_rewrite(skipped, toy_presentation, u, "")
 
 
 class TestInD:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import groupby
 
 import pytest
+from conftest import degenerate_path_diagram
 
 from filebasis import diagram as dg
 from filebasis.construction import build_relator
@@ -113,7 +114,7 @@ class TestValidate:
         assert any("face" in i.location for i in report.issues)
 
     def test_degenerate_contour(self, toy_relator):
-        d = dg.degenerate_path_diagram(parse_word("x1", 3))
+        d = degenerate_path_diagram(parse_word("x1", 3))
         report = dg.validate_diagram(d, [toy_relator])
         assert report.ok
         assert d.is_degenerate
@@ -177,7 +178,7 @@ class TestSpecialSelection:
 
     def test_no_selection_on_foreign_face(self):
         d = dg.polygon_diagram(parse_word("x1 x3 x2", 3))
-        with pytest.raises(dg.DiagramError):
+        with pytest.raises(dg.PreconditionError, match="no special subpath"):
             dg.special_selection(d, 3)
 
     def test_scan_agrees_on_two_face(self, toy_face, toy_relator):
@@ -262,7 +263,7 @@ class TestConditions:
         assert rep.b2
 
     def test_condition_B_degenerate(self, toy_params):
-        d = dg.degenerate_path_diagram(parse_word("x1", 3))
+        d = degenerate_path_diagram(parse_word("x1", 3))
         sel = dg.Selection({})
         assert dg.check_condition_B(d, sel, toy_params.lambda1, toy_params.lambda2) == []
 
@@ -273,7 +274,7 @@ class TestConditions:
         assert met == dg.DiagramMetrics(S=15, Sigma=17, E=17, F=1)
 
     def test_condition_X_rejects_non_semisimple(self, toy_relator):
-        d = dg.degenerate_path_diagram(parse_word("x1", 3))
+        d = degenerate_path_diagram(parse_word("x1", 3))
         with pytest.raises(dg.PreconditionError, match="not semisimple"):
             dg.check_condition_X(d, dg.Selection({}), Fraction(1, 2))
 
@@ -325,7 +326,7 @@ class TestSubmaps:
         assert with_faces[0].faces == frozenset({"f0"})
 
     def test_degenerate_components_are_vertices(self):
-        d = dg.degenerate_path_diagram(parse_word("x1 x2", 3))
+        d = degenerate_path_diagram(parse_word("x1 x2", 3))
         subs = dg.maximal_semisimple_submaps(d)
         assert all(not s.faces and not s.darts for s in subs)
         assert sum(len(s.vertices) for s in subs) == len(d.vertices)
@@ -614,9 +615,9 @@ def _build(name, relator):
     if name == "polygon x1 x2 x3":
         return dg.polygon_diagram(parse_word("x1 x2 x3", 3))
     if name == "path x1 x2":
-        return dg.degenerate_path_diagram(parse_word("x1 x2", 3))
+        return degenerate_path_diagram(parse_word("x1 x2", 3))
     if name == "path empty":
-        return dg.degenerate_path_diagram("")
+        return degenerate_path_diagram("")
     if name == "sphere toy":
         return dg.sphere_double(relator)
     return glue_second_face(dg.polygon_diagram(relator), relator)
