@@ -81,11 +81,14 @@ def _witness_dict(witness) -> object:
             "steps_from_v": [word_text(s) for s in witness.steps_from_v],
         }
     if isinstance(witness, decision.ConjugacyWitness):
-        return {
+        out = {
             "kind": "conjugacy",
             "conjugator": word_text(witness.conjugator),
             "certificate": _witness_dict(witness.certificate),
         }
+        if witness.lemmas:  # written only when used, so other output is unchanged
+            out["lemmas"] = [_witness_dict(lemma) for lemma in witness.lemmas]
+        return out
     return str(witness)
 
 

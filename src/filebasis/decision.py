@@ -108,6 +108,7 @@ class RewriteWitness:
 class ConjugacyWitness:
     conjugator: str
     certificate: object = None  # fill witness for s u s^-1 v^-1, if a filling was needed
+    lemmas: tuple[FillWitness, ...] = ()  # fillings of the trivial words it uses as faces
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,10 @@ def _rebuild_trace(parent: dict, word: str) -> tuple:
 
 def replay_fill(witness: FillWitness, presentation: Presentation) -> bool:
     """Independent replay of a fill witness by pure free/cyclic reduction."""
-    faces = dict(presentation.faces)
+    return _replay(witness, dict(presentation.faces))
+
+
+def _replay(witness: FillWitness, faces: dict[str, str]) -> bool:
     word = least_rotation(cyclic_reduce(witness.contour)[0])
     area = 0
     for j, variant in witness.trace:
@@ -476,28 +480,51 @@ def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) ->
     def short_words():
         return takewhile(lambda w: len(w) <= bound_len, iter_reduced_words(n))
 
-    # Step 2: trivial words up to the length bound (budget-capped).
-    trivial_words: list[str] = []
+    # Step 2: trivial words up to the length bound (budget-capped), kept
+    # with their fillings for the certificates that insert them
+    trivial: list[FillWitness] = []
     candidates = short_words()
     for w in islice(candidates, budget.max_states):
         if not w:
             continue
         t = equals_in_G(presentation, w, "", budget)
         if t.is_yes:
-            trivial_words.append(w)
+            trivial.append(t.witness)
         complete = complete and not t.exceeded
     complete = next(candidates, None) is None and complete
 
     # Steps 3-4: cut-annulus search over conjugators.  Every z below has
     # the abelian image of u v^-1, which passed the test above, and the
     # trivial words' images lie in the relator lattice: no z is obstructed.
-    faces = relator_variants(presentation.relator_words() + trivial_words)
+    faces = relator_variants(presentation.relator_words() + [f.contour for f in trivial])
     area_bound = 2 * bound_len - (len(u) + len(v))
     candidates = short_words()
     for s in islice(candidates, budget.max_states):
         z = free_reduce(s + u + invert(s) + invert(v))
         result = _fill_search(faces, z, area_bound, budget)
         if result.found:
-            return _verdict(ConjugacyWitness(s, result.witness), True)
+            # the trivial words whose faces it inserts beyond the relators'
+            # own, which are looked up only when there are trivial words
+            used = {face for _, face in result.witness.trace}
+            if trivial:
+                used -= dict(presentation.faces).keys()
+            lemmas = tuple(f for f in trivial if used & dict(relator_variants([f.contour])).keys())
+            return _verdict(ConjugacyWitness(s, result.witness, lemmas), True)
         complete = complete and result.complete
     return _verdict(None, next(candidates, None) is None and complete)
+
+
+def replay_conjugacy(witness: ConjugacyWitness, presentation: Presentation, u: str, v: str) -> bool:
+    """Independent replay of a conjugacy witness: s u s^-1 = v freely, or
+    its certificate fills s u s^-1 v^-1 with faces of the relators and of
+    its lemmas, trivial words whose own fillings replay."""
+    s, certificate = witness.conjugator, witness.certificate
+    z = free_reduce(s + u + invert(s) + invert(v))
+    if certificate is None:
+        return not z
+    faces = relator_variants(presentation.relator_words() + [f.contour for f in witness.lemmas])
+    return (
+        all(replay_fill(lemma, presentation) for lemma in witness.lemmas)
+        and free_reduce(certificate.contour) == z
+        and _replay(certificate, dict(faces))
+    )

@@ -87,13 +87,10 @@ def least_rotation(code: str) -> str:
     """Least rotation of any code string, in linear time.
 
     The least rotation starts at the first letter of a maximal run of the
-    least letter, so only such starts compete.  When there are at most
-    `_FEW_STARTS` of them, their rotations are compared whole.  Otherwise
-    two candidates are compared by their common prefix; the loser and the
-    k letters after it that matched the winner's are dropped at once,
-    since each of their rotations exceeds the winner's shifted by the same
-    amount (the two-pointer skip of Shiloach, "Fast canonization of
-    circular strings", J. Algorithms 2, 1981).
+    least letter.  When there are at most `_FEW_STARTS` such starts, their
+    rotations are compared whole.  Otherwise the textbook two-pointer loop
+    compares letter by letter: when the rotations at i and j first differ
+    at offset k, the larger one and the k rotations after it are dropped.
     """
     if not code:
         return code
@@ -113,36 +110,21 @@ def least_rotation(code: str) -> str:
         i = text.find(least, n - len(text[i:].lstrip(least)))
     if len(starts) <= _FEW_STARTS:
         return min(doubled[i : i + n] for i in starts)
-    i = text.find(least)
-    j = text.find(least, i + 1)
-    while j != -1:
-        # k = common prefix length of the rotations at i and j, both of
-        # which start with least: chunks double while they match, then
-        # halve down to the first mismatch, so O(k) letters are compared
-        # in O(log k) slice comparisons
-        k, step = 1, 1
-        while k + step <= n and doubled.startswith(doubled[j + k : j + k + step], i + k):
-            k += step
-            step *= 2
-        hi = min(k + step - 1, n)
-        while k < hi:
-            mid = (k + hi + 1) // 2
-            if doubled.startswith(doubled[j + k : j + mid], i + k):
-                k = mid
-            else:
-                hi = mid - 1
-        if k == n:
-            break  # equal rotations: the word is periodic, either one is least
-        if doubled[i + k] < doubled[j + k]:
-            j = text.find(least, j + k + 1)
-            if j == i:
-                j = text.find(least, j + 1)
+    # each mismatch drops k + 1 rotations, so O(n) letters are compared
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            i = text.find(least, i + k + 1)
-            if i == j:
-                i = text.find(least, i + 1)
-            if i == -1:
-                i, j = j, -1
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    i = min(i, j)
     return doubled[i : i + n]
 
 

@@ -272,11 +272,7 @@ def test_criterion_10_conjugacy(toy_presentation):
         v = free_reduce(u[k:] + u[:k])
         out = dec.are_conjugate(toy_presentation, u, v, budget)
         assert out.is_yes
-        s = out.witness.conjugator
-        if out.witness.certificate is None:
-            assert conjugate_by(u, s) == v
-        else:
-            assert dec.replay_fill(out.witness.certificate, toy_presentation)
+        assert dec.replay_conjugacy(out.witness, toy_presentation, u, v)
         checked += 1
 
     # agreement with a brute-force conjugator scan bounded by q(|u|+|v|)

@@ -148,6 +148,30 @@ class TestConj:
         )
         assert code == 1
 
+    def test_certificate_lemmas(self, run, tmp_path):
+        # the certificate inserts a face of the trivial word [x1^2, x2],
+        # which the commutator relator alone does not give
+        path = tmp_path / "commutator.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "n": 2,
+                    "lambda1": "1/15",
+                    "N": 2,
+                    "relators": [{"i": 1, "w": "", "m": 1, "r": "x1 x2 x1^-1 x2^-1"}],
+                }
+            )
+        )
+        code, out = run(
+            "conj", "x1 x2 x1^-2 x2^-1", "x1^4 x2 x1^-1 x2^-2 x1 x2 x1^-5",
+            "--presentation", str(path), "--witness", "--max-len", "14", "--max-states", "600",
+        )
+        assert code == 0
+        lemmas = out["witness"]["lemmas"]
+        assert lemmas and all(lemma["kind"] == "filling" for lemma in lemmas)
+        faces = {step["face_label"] for step in out["witness"]["certificate"]["trace"]}
+        assert "x1^-2 x2 x1^2 x2^-1" in faces
+
 
 class TestCheckDiagram:
     @pytest.fixture()

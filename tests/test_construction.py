@@ -6,6 +6,7 @@ import pytest
 from conftest import is_cyclically_reduced
 from hypothesis import given, strategies as st
 
+from filebasis import decision
 from filebasis.construction import (
     ConstructionParams,
     ConstructionError,
@@ -19,7 +20,7 @@ from filebasis.construction import (
     regular_head,
     validate_params,
 )
-from filebasis.decision import Budget
+from filebasis.decision import EXCEEDED, NO, YES, Budget, Outcome
 from filebasis.words import (
     free_reduce,
     invert,
@@ -189,6 +190,42 @@ class TestNextW:
             expected = w
             break
         assert next_w(toy_params, [], toy_budget).witness == expected
+
+
+class TestNextWSelection:
+    """With relators, next_w returns the first candidate whose normal-form
+    search answers no.  At toy scale that search never completes within
+    the budgets, so it is stubbed here."""
+
+    @pytest.fixture()
+    def answers(self, monkeypatch):
+        answers = {"x2 x1": YES, "x2 x1^-1": YES}
+        asked = []
+
+        def regular_normal_form(presentation, w, budget, engine="diagram"):
+            asked.append(word_text(w))
+            return Outcome(answers.get(word_text(w), NO))
+
+        monkeypatch.setattr(decision, "regular_normal_form", regular_normal_form)
+        return answers, asked
+
+    def test_first_no_is_chosen(self, answers, toy_params, toy_presentation):
+        _, asked = answers
+        out = next_w(toy_params, toy_presentation.relators, Budget())
+        assert out == Outcome(YES, witness=parse_word("x2^-1 x1", 3))
+        assert asked == ["x2 x1", "x2 x1^-1", "x2^-1 x1"]
+
+    def test_budget_exceeded_is_returned(self, answers, toy_params, toy_presentation):
+        answers[0]["x2 x1"] = EXCEEDED
+        out = next_w(toy_params, toy_presentation.relators, Budget())
+        assert out == Outcome(EXCEEDED)
+
+    def test_generate_builds_the_second_relator(self, answers, toy_params):
+        pres = generate(toy_params, 2, Budget())
+        assert not pres.truncated
+        second = pres.relators[1]
+        assert (second.i, second.w, second.m) == (2, parse_word("x2^-1 x1", 3), 6)
+        assert second == build_relator(toy_params, 2, second.w)
 
 
 class TestGenerate:

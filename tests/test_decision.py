@@ -26,6 +26,7 @@ from filebasis.decision import (
     in_C,
     in_D,
     regular_normal_form,
+    replay_conjugacy,
     replay_fill,
     replay_rewrite,
     rewrite_search,
@@ -378,6 +379,48 @@ class TestConjugacy:
             shifted = free_reduce(u[k:] + u[:k])
             out = are_conjugate(toy_presentation, u, shifted, budget)
             assert out.is_yes
+
+
+class TestConjugacyLemmas:
+    """A certificate that inserts a face of a trivial word carries that
+    word's filling, and replays only with it."""
+
+    COMMUTATOR = Presentation.from_dict(
+        {
+            "n": 2,
+            "lambda1": "1/15",
+            "N": 2,
+            "relators": [{"i": 1, "w": "", "m": 1, "r": "x1 x2 x1^-1 x2^-1"}],
+        }
+    )
+    U, V = w("x1 x2 x1^-2 x2^-1", 2), w("x1^4 x2 x1^-1 x2^-2 x1 x2 x1^-5", 2)
+    BUDGET = Budget(max_word_len=14, max_states=600)
+
+    def test_certificate_carries_its_lemmas(self):
+        out = are_conjugate(self.COMMUTATOR, self.U, self.V, self.BUDGET)
+        assert out.is_yes and out.witness.lemmas
+        faces = dict(self.COMMUTATOR.faces)
+        assert any(variant not in faces for _, variant in out.witness.certificate.trace)
+        assert not replay_fill(out.witness.certificate, self.COMMUTATOR)
+        for lemma in out.witness.lemmas:
+            assert replay_fill(lemma, self.COMMUTATOR)
+        assert replay_conjugacy(out.witness, self.COMMUTATOR, self.U, self.V)
+
+    def test_replay_fails_without_the_lemmas(self):
+        out = are_conjugate(self.COMMUTATOR, self.U, self.V, self.BUDGET)
+        bare = replace(out.witness, lemmas=())
+        assert not replay_conjugacy(bare, self.COMMUTATOR, self.U, self.V)
+
+    def test_replay_checks_the_contour(self):
+        out = are_conjugate(self.COMMUTATOR, self.U, self.V, self.BUDGET)
+        assert not replay_conjugacy(out.witness, self.COMMUTATOR, self.U, self.U)
+
+    def test_replay_without_certificate_is_free_conjugacy(self, toy_presentation):
+        u, v = w("x1 x2"), w("x3 x2 x1 x3^-1")
+        witness = are_conjugate(toy_presentation, u, v, Budget()).witness
+        assert witness.certificate is None and not witness.lemmas
+        assert replay_conjugacy(witness, toy_presentation, u, v)
+        assert not replay_conjugacy(witness, toy_presentation, u, u)
 
 
 class TestScanBoundaries:

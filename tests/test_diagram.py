@@ -10,7 +10,7 @@ import pytest
 from conftest import degenerate_path_diagram
 
 from filebasis import diagram as dg
-from filebasis.construction import build_relator
+from filebasis.construction import ConstructionError, build_relator
 from filebasis.words import encode, invert, parse_word, relator_variants
 
 
@@ -855,3 +855,87 @@ def test_validation_report_golden(name):
         "issues": [{"location": where, "message": message} for where, message in issues],
         "face_matches": face_matches,
     }
+
+
+# ---------------------------------------------------------------------------
+# argument guards: each call is rejected with its own message
+
+
+def _x(text):
+    return parse_word(text, 3)
+
+
+GUARDS = {
+    "empty polygon": (
+        lambda pres, r1: dg.polygon_diagram(""),
+        dg.DiagramError,
+        "cannot build a polygon on the empty word",
+    ),
+    "glue on a sphere": (
+        lambda pres, r1: dg.glue_boundary(dg.sphere_double(r1), r1, "f1", 1),
+        dg.DiagramError,
+        "gluing expects a disc diagram",
+    ),
+    "glue overlap 0": (
+        lambda pres, r1: dg.glue_boundary(dg.polygon_diagram(r1), r1, "f1", 0),
+        dg.DiagramError,
+        "overlap must be a proper nonempty boundary segment",
+    ),
+    "glue overlap whole face": (
+        lambda pres, r1: dg.glue_boundary(dg.polygon_diagram(r1), r1, "f1", len(r1)),
+        dg.DiagramError,
+        "overlap must be a proper nonempty boundary segment",
+    ),
+    "glue overlap past contour": (
+        lambda pres, r1: dg.glue_boundary(
+            dg.polygon_diagram(_x("x1 x2")), _x("x1^-1 x2 x3 x1 x2"), "f1", 3
+        ),
+        dg.DiagramError,
+        "overlap exceeds contour length",
+    ),
+    "glue first letter mismatch": (
+        lambda pres, r1: dg.glue_boundary(dg.polygon_diagram(r1), _x("x1 x2 x3"), "f1", 1),
+        dg.DiagramError,
+        "overlap letter 0 mismatch: contour side reads x2, new face needs x1",
+    ),
+    "rotate a sphere": (
+        lambda pres, r1: dg.rotate_contour(dg.sphere_double(r1), 1),
+        dg.DiagramError,
+        "contour rotation expects a disc diagram",
+    ),
+    "random with no faces": (
+        lambda pres, r1: dg.random_diagram([r1], 0, random.Random(0)),
+        dg.DiagramError,
+        "need at least one face",
+    ),
+    "letter budget on a path": (
+        lambda pres, r1: dg.check_letter_budget(
+            degenerate_path_diagram(_x("x1 x2")), dg.Selection({}), {1}, 3
+        ),
+        dg.DiagramError,
+        "degenerate diagram",
+    ),
+    "rank of a foreign face": (
+        lambda pres, r1: dg.face_rank(dg.polygon_diagram(_x("x1 x2 x3")), "f0", pres),
+        dg.DiagramError,
+        "face 'f0': label matches no relator",
+    ),
+    "relator index 0": (
+        lambda pres, r1: build_relator(pres.params, 0, _x("x2 x1")),
+        ConstructionError,
+        "relator index must be positive, got 0",
+    ),
+    "relator length": (
+        lambda pres, r1: build_relator(pres.params, 1, _x("x2 x3")),
+        ConstructionError,
+        "relator length does not match n*m + |w|",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_guard_message(name, toy_presentation, toy_relator):
+    call, error, message = GUARDS[name]
+    with pytest.raises(error) as raised:
+        call(toy_presentation, toy_relator)
+    assert str(raised.value) == message

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import (
@@ -157,6 +158,15 @@ class TestKernel:
                      encode([(1, 400_000), (2, 1)])):
             assert least_rotation(code) == code
             assert least_rotation(code[7:] + code[:7]) == code
+
+    def test_least_rotation_of_every_nine_block_word(self):
+        # all 3^9 words of nine blocks x1^-a x2, a in {1, 2, 3}: each has
+        # nine runs of its least letter x1^-1, so each takes the loop for
+        # more than 8 run starts
+        blocks = [encode([(1, -a), (2, 1)]) for a in (1, 2, 3)]
+        for parts in product(blocks, repeat=9):
+            code = "".join(parts)
+            assert least_rotation(code) == min(code[k:] + code[:k] for k in range(len(code)))
 
     @given(letter_lists, letter_lists, st.data())
     def test_insert_reduces_at_the_seams(self, raw, raw_variant, data):
