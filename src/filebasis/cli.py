@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 yes/ok, 1 no/fail, 2 budget-exceeded, 64 usage error,
-65 malformed data.  All results are emitted as JSON so harnesses can
-diff structured output.
+Exit codes: 0 yes/ok, 1 no/fail, 2 budget-exceeded (also when memory or
+the recursion limit runs out), 64 usage error, 65 malformed data, 70 an
+internal error.  All results are emitted as JSON so harnesses can diff
+structured output.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import asdict
 from itertools import islice
 
@@ -23,6 +25,7 @@ EX_NO = 1
 EX_BUDGET = 2
 EX_USAGE = 64
 EX_DATA = 65
+EX_SOFTWARE = 70
 
 
 def _emit(obj: dict) -> None:
@@ -294,6 +297,14 @@ def main(argv=None) -> int:
     except (MalformedWordError, diagram.DiagramError, construction.ConstructionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EX_DATA
+    except (MemoryError, RecursionError) as exc:
+        # resource exhaustion is budget-exceeded, never the exit code of a no
+        _emit({"outcome": decision.EXCEEDED, "reason": str(exc) or type(exc).__name__})
+        return EX_BUDGET
+    except Exception as exc:
+        error = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
+        print(json.dumps(error), file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

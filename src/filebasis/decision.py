@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .words import (
     ab_vector,
-    cyclic_insert,
     cyclic_join,
     cyclic_reduce,
     encode,
@@ -39,6 +38,7 @@ from .words import (
     iter_reduced_words,
     iter_regular_words,
     least_rotation,
+    match_face_label,
     relator_variants,
     seam_positions,
 )
@@ -242,22 +242,19 @@ def _rebuild_trace(parent: dict, word: str) -> tuple:
 
 def replay_fill(witness: FillWitness, presentation: Presentation) -> bool:
     """Independent replay of a fill witness by pure free/cyclic reduction."""
-    return _replay(witness, dict(presentation.faces))
+    return _replay(witness, presentation.relator_words())
 
 
-def _replay(witness: FillWitness, faces: dict[str, str]) -> bool:
+def _replay(witness: FillWitness, relators: Sequence[str]) -> bool:
+    # each face is matched against the relators, in time linear in its length
     word = least_rotation(cyclic_reduce(witness.contour)[0])
     area = 0
     for j, variant in witness.trace:
-        if variant not in faces or (word and j >= len(word)):
+        if match_face_label(variant, relators) is None or (word and not 0 <= j < len(word)):
             return False
-        word = cyclic_insert(word, j, faces[variant])
+        word = least_rotation(cyclic_join(word, j, free_reduce(variant)))
         area += len(variant)
-    if word:
-        return False
-    if area != witness.area:
-        return False
-    return 2 * witness.edges == area + len(witness.contour)
+    return not word and area == witness.area and 2 * witness.edges == area + len(witness.contour)
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +478,12 @@ def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) ->
         return takewhile(lambda w: len(w) <= bound_len, iter_reduced_words(n))
 
     # Step 2: trivial words up to the length bound (budget-capped), kept
-    # with their fillings for the certificates that insert them
+    # with their fillings for the certificates that insert them.  A rotation
+    # of a kept word or of its inverse is trivial and adds no face: skipped.
     trivial: list[FillWitness] = []
     candidates = short_words()
     for w in islice(candidates, budget.max_states):
-        if not w:
+        if not w or trivial and any(match_face_label(w, [f.contour]) for f in trivial):
             continue
         t = equals_in_G(presentation, w, "", budget)
         if t.is_yes:
@@ -496,7 +494,8 @@ def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) ->
     # Steps 3-4: cut-annulus search over conjugators.  Every z below has
     # the abelian image of u v^-1, which passed the test above, and the
     # trivial words' images lie in the relator lattice: no z is obstructed.
-    faces = relator_variants(presentation.relator_words() + [f.contour for f in trivial])
+    relators, contours = presentation.relator_words(), [f.contour for f in trivial]
+    faces = relator_variants(relators + contours) if contours else presentation.faces
     area_bound = 2 * bound_len - (len(u) + len(v))
     candidates = short_words()
     for s in islice(candidates, budget.max_states):
@@ -504,11 +503,10 @@ def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) ->
         result = _fill_search(faces, z, area_bound, budget)
         if result.found:
             # the trivial words whose faces it inserts beyond the relators'
-            # own, which are looked up only when there are trivial words
-            used = {face for _, face in result.witness.trace}
-            if trivial:
-                used -= dict(presentation.faces).keys()
-            lemmas = tuple(f for f in trivial if used & dict(relator_variants([f.contour])).keys())
+            # own, which are matched only when there are trivial words
+            trace = result.witness.trace if trivial else ()
+            used = [variant for _, variant in trace if not match_face_label(variant, relators)]
+            lemmas = tuple(f for f in trivial if match_face_label(f.contour, used))
             return _verdict(ConjugacyWitness(s, result.witness, lemmas), True)
         complete = complete and result.complete
     return _verdict(None, next(candidates, None) is None and complete)
@@ -522,9 +520,9 @@ def replay_conjugacy(witness: ConjugacyWitness, presentation: Presentation, u: s
     z = free_reduce(s + u + invert(s) + invert(v))
     if certificate is None:
         return not z
-    faces = relator_variants(presentation.relator_words() + [f.contour for f in witness.lemmas])
+    relators = presentation.relator_words() + [f.contour for f in witness.lemmas]
     return (
         all(replay_fill(lemma, presentation) for lemma in witness.lemmas)
         and free_reduce(certificate.contour) == z
-        and _replay(certificate, dict(faces))
+        and _replay(certificate, relators)
     )

@@ -34,7 +34,7 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .words import encode, invert, parse_letter, relator_variants, word_text
+from .words import encode, invert, match_face_label, parse_letter, relator_variants, word_text
 
 
 class DiagramError(ValueError):
@@ -201,25 +201,6 @@ def _components(d: Diagram, keep: Optional[bytearray] = None) -> list[list]:
                     component.append(w)
         components.append(component)
     return components
-
-
-def match_face_label(label: str, relators: Sequence[str]) -> Optional[tuple[int, int, int]]:
-    """(relator position, sign, rotation) such that the face label read
-    from `rotation` equals relator^sign, or None; all are code strings.  Uses
-    substring search in the doubled label, so matching stays linear in the
-    boundary length; the lowest match is the least rotation."""
-    k = len(label)
-    if k == 0:
-        return None
-    doubled = label * 2
-    for pos, r in enumerate(relators):
-        for sign, target in ((1, r), (-1, invert(r))):
-            if len(target) != k:
-                continue
-            rot = doubled.find(target)
-            if rot >= 0:
-                return (pos, sign, rot)
-    return None
 
 
 def validate_diagram(d: Diagram, relators: Sequence[str]) -> ValidationReport:

@@ -13,15 +13,15 @@ procedure that returns a word; the public decision procedures reduce
 their word arguments on entry.
 
 Reduction and least rotation take any code string.  The insertion steps
-(`insert`, `cyclic_join`, `cyclic_insert`) take reduced inputs, so that
-letters cancel only at the seams, and their docstrings say which.
+(`insert`, `cyclic_join`) take reduced inputs, so that letters cancel
+only at the seams, and their docstrings say which.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import groupby
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class MalformedWordError(ValueError):
@@ -182,11 +182,23 @@ def cyclic_join(word: str, j: int, variant: str) -> str:
     return _strip_ends(rotation[: len(rotation) - k] + variant[k:])[0]
 
 
-def cyclic_insert(word: str, j: int, variant: str) -> str:
-    """The cyclic word, as its least rotation, left by appending variant
-    to the rotation of word that starts at position j; the preconditions
-    are those of `cyclic_join`."""
-    return least_rotation(cyclic_join(word, j, variant))
+def match_face_label(label: str, relators: Sequence[str]) -> Optional[tuple[int, int, int]]:
+    """(relator position, sign, rotation) such that the face label read
+    from `rotation` equals relator^sign, or None; all are code strings.  Uses
+    substring search in the doubled label, so matching stays linear in the
+    boundary length; the lowest match is the least rotation."""
+    k = len(label)
+    if k == 0:
+        return None
+    doubled = label * 2
+    for pos, r in enumerate(relators):
+        for sign, target in ((1, r), (-1, invert(r))):
+            if len(target) != k:
+                continue
+            rot = doubled.find(target)
+            if rot >= 0:
+                return (pos, sign, rot)
+    return None
 
 
 def relator_variants(relators: Iterable[str]) -> tuple[tuple[str, str], ...]:

@@ -3,6 +3,7 @@ import json
 import pytest
 from conftest import degenerate_path_diagram
 
+from filebasis import decision
 from filebasis.cli import main
 from filebasis.construction import Presentation
 
@@ -112,6 +113,47 @@ class TestEq:
     def test_missing_file(self, run):
         code, _ = run("eq", "x1", "x1", "--presentation", "/nonexistent.json")
         assert code == 65
+
+
+class TestUnexpectedExceptions:
+    """A crash never exits 0, 1 or 2 as an answer would, except that running
+    out of memory or of recursion depth is reported as budget-exceeded."""
+
+    @pytest.fixture()
+    def raising(self, monkeypatch):
+        def install(exc):
+            def equals_in_G(*args, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(decision, "equals_in_G", equals_in_G)
+
+        return install
+
+    @pytest.mark.parametrize(
+        "exc, reason",
+        [
+            (MemoryError(), "MemoryError"),
+            (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+        ],
+        ids=["MemoryError", "RecursionError"],
+    )
+    def test_resource_exhaustion_is_budget_exceeded(self, capsys, pres_file, raising, exc, reason):
+        raising(exc)
+        code = main(["eq", "x1", "x2", "--presentation", pres_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"outcome": "budget-exceeded", "reason": reason}
+        assert captured.err == ""
+
+    def test_other_exception_is_an_internal_error(self, capsys, pres_file, raising):
+        raising(ZeroDivisionError("division by zero"))
+        code = main(["eq", "x1", "x2", "--presentation", pres_file])
+        captured = capsys.readouterr()
+        assert code == 70
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ZeroDivisionError: division by zero"
+        assert error["traceback"].startswith("Traceback")
 
 
 class TestNf:

@@ -1,9 +1,13 @@
 import heapq
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -174,9 +178,12 @@ class TestReplayGuards:
 
     def test_forged_fillings_fail(self, filling, toy_presentation):
         ((j, face),) = filling.trace
+        length = len(cyclic_reduce(filling.contour)[0])
         forged = {
             "unknown face label": replace(filling, trace=((j, face[1:]),)),
             "position past the word": replace(filling, trace=((len(filling.contour), face),)),
+            # the genuine position, counted from the end of the word
+            "negative position": replace(filling, trace=((j - length, face),)),
             "area off by one": replace(filling, area=filling.area + 1),
             # edges and area agree with the contour; only the word left over gives it away
             "empty trace": dec.FillWitness(w("x1 x2"), (), 1, 0),
@@ -194,6 +201,40 @@ class TestReplayGuards:
         # u to the empty word deletes two faces: not one insertion
         skipped = dec.RewriteWitness("", (u, ""), ("",))
         assert not replay_rewrite(skipped, toy_presentation, u, "")
+
+
+# r1 at n=63 has 39,755 letters; every rotation of it and of its inverse
+# would take about 6 GB, so the replay must match faces without them
+THEOREM_SCALE_REPLAY = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from fractions import Fraction
+from filebasis.construction import ConstructionParams, Presentation, build_relator
+from filebasis.decision import FillWitness, replay_fill
+from filebasis.words import invert, least_rotation, parse_word
+params = ConstructionParams(63, Fraction(1, 315), 315)
+r1 = build_relator(params, 1, parse_word("x2 x1", 63))
+presentation = Presentation(params, [r1])
+face = invert(least_rotation(r1.r))
+genuine = FillWitness(r1.r, ((0, face),), len(r1.r), len(r1.r))
+tampered = FillWitness(r1.r, ((1, face),), len(r1.r), len(r1.r))
+print(replay_fill(genuine, presentation), replay_fill(tampered, presentation))
+"""
+
+
+def test_theorem_scale_replay_fits_in_a_gibibyte():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", THEOREM_SCALE_REPLAY],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.split() == ["True", "False"]
 
 
 class TestInD:
@@ -331,6 +372,14 @@ class TestNormalForm:
         assert out.is_yes
         assert len(scanned) >= 2
         assert len(built) == 1
+        # step 1 searches for a filling of each commutator, and step 3,
+        # with no trivial words found, walks the same faces
+        built.clear()
+        fresh = Presentation(toy_params, toy_presentation.relators)
+        u, v = w("x1 x2 x1^-1 x2^-1"), w("x1 x3 x1^-1 x3^-1")
+        out = are_conjugate(fresh, u, v, Budget(max_word_len=30, max_states=100))
+        assert out.exceeded
+        assert len(built) == 1
 
     def test_idempotent(self, toy_presentation, toy_budget, rng):
         for _ in range(10):
@@ -405,6 +454,20 @@ class TestConjugacyLemmas:
         for lemma in out.witness.lemmas:
             assert replay_fill(lemma, self.COMMUTATOR)
         assert replay_conjugacy(out.witness, self.COMMUTATOR, self.U, self.V)
+
+    def test_rotations_of_trivial_words_are_skipped(self):
+        # x1^2 x2^-1 x1^-2 x2, a rotation of the first trivial word's
+        # inverse, and x1 x2 x1^-2 x2^-1 x1, a rotation of the word, offer
+        # its faces again: they are not scanned, and no lemma carries them
+        out = are_conjugate(self.COMMUTATOR, self.U, self.V, self.BUDGET)
+        assert [lemma.contour for lemma in out.witness.lemmas] == [w("x1^2 x2 x1^-2 x2^-1", 2)]
+        certificate = out.witness.certificate
+        assert certificate.contour == w("x1 x2 x1^-2 x2^-1 x1^5 x2^-1 x1^-1 x2^2 x1 x2^-1 x1^-4", 2)
+        assert certificate.trace == (
+            (12, w("x1^-1 x2^-1 x1 x2", 2)),
+            (13, w("x1^-1 x2^-1 x1 x2", 2)),
+            (5, w("x1^-2 x2 x1^2 x2^-1", 2)),
+        )
 
     def test_replay_fails_without_the_lemmas(self):
         out = are_conjugate(self.COMMUTATOR, self.U, self.V, self.BUDGET)

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from filebasis.words import (
     MalformedWordError,
-    cyclic_insert,
     cyclic_join,
     cyclic_reduce,
     deglex_successor,
@@ -25,6 +24,7 @@ from filebasis.words import (
     iter_reduced_words,
     iter_regular_words,
     least_rotation,
+    match_face_label,
     parse_word,
     relator_variants,
     seam_positions,
@@ -198,7 +198,27 @@ class TestKernel:
         j = data.draw(st.integers(0, max(len(word) - 1, 0)))
         rotation = word[j:] + word[:j]
         expected = least_rotation(cyclic_reduce(rotation + variant)[0])
-        assert cyclic_insert(word, j, face) == expected
+        assert least_rotation(cyclic_join(word, j, face)) == expected
+
+    @given(letter_lists, st.lists(letter_lists, max_size=3), st.data())
+    def test_match_face_label_finds_rotations(self, raw_label, raws, data):
+        relators = [encode(raw) for raw in raws]
+        # often a rotation of a relator or of its inverse, else any word
+        label = encode(raw_label)
+        if relators and data.draw(st.booleans()):
+            pos = data.draw(st.integers(0, len(relators) - 1))
+            base = data.draw(st.sampled_from((relators[pos], invert(relators[pos]))))
+            k = data.draw(st.integers(0, len(base)))
+            label = base[k:] + base[:k]
+        # the first match, relator by relator, r before r^-1, least rotation first
+        found = [
+            (pos, sign, rot)
+            for pos, r in enumerate(relators)
+            for sign, target in ((1, r), (-1, invert(r)))
+            for rot in range(len(label))
+            if label[rot:] + label[:rot] == target
+        ]
+        assert match_face_label(label, relators) == (found[0] if found else None)
 
     @given(st.lists(letter_lists, max_size=3), st.lists(letters, max_size=3))
     def test_relator_variants_pair_rotations_with_reductions(self, raws, outer):
