@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice, permutations, product
 from typing import Sequence
 
 from . import decision
@@ -26,6 +26,8 @@ from .words import (
     is_regular,
     iter_reduced_words,
     parse_word,
+    perm_image,
+    perm_powers,
     relator_variants,
     word_runs,
     word_text,
@@ -214,6 +216,23 @@ def check_relator(p: ConstructionParams, rel: Relator) -> list[str]:
     return problems
 
 
+# Presentation.quotients tries S_3^n only up to this size (n <= 4, about
+# 5 ms at n=4 and 1 ms at n=3); beyond it, as at n=63, it finds none
+_QUOTIENT_ASSIGNMENTS = 6**4
+
+
+def _commute(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(a[b[j]] == b[a[j]] for j in range(len(a)))
+
+
+def _relabel(p: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
+    # p with every point j renamed c[j]: a conjugate of p
+    q = [0] * len(p)
+    for j, k in enumerate(p):
+        q[c[j]] = c[k]
+    return tuple(q)
+
+
 @dataclass(frozen=True)
 class Presentation:
     params: ConstructionParams
@@ -267,6 +286,38 @@ class Presentation:
                 rows.remove(pivot)
                 basis.append((col, tuple(a if pivot[col] > 0 else -a for a in pivot)))
         return tuple(basis)
+
+    @cached_property
+    def quotients(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The transitive, non-abelian permutation representations of the
+        group of degree 3, one per conjugacy class, each as the generators'
+        images: permutations p of (0, 1, 2) moving point j to p[j], which a
+        word applies letter by letter from the left (`words.perm_image`).
+
+        The assignments of S_3 images are tried, x_1's only up to
+        conjugacy, and one is kept only after every relator maps to the
+        identity; its image is non-abelian, so it is all of S_3 and
+        transitive.  Abelian images add nothing to the exact lattice test.
+        Empty, which separates nothing, when S_3^n has more than
+        `_QUOTIENT_ASSIGNMENTS` assignments."""
+        n = self.params.n
+        if 6**n > _QUOTIENT_ASSIGNMENTS:
+            return ()
+        s3 = list(permutations(range(3)))
+        identity = s3[0]
+        cycles = {p: perm_powers(p) for p in s3}
+        relators = [word_runs(r) for r in self.relator_words()]
+        # a class's least member sends x_1 to the least conjugate of its image
+        firsts = {min(_relabel(p, c) for c in s3) for p in s3}
+        classes = set()
+        for images in product(firsts, *[s3] * (n - 1)):
+            powers = [cycles[p] for p in images]
+            if any(perm_image(runs, powers) != identity for runs in relators):
+                continue
+            if all(_commute(a, b) for a, b in combinations(images, 2)):
+                continue
+            classes.add(min(tuple(_relabel(p, c) for p in images) for c in s3))
+        return tuple(sorted(classes))
 
     @cached_property
     def max_relator_len(self) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import ceil, floor
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .words import (
     ab_vector,
@@ -39,8 +39,11 @@ from .words import (
     iter_regular_words,
     least_rotation,
     match_face_label,
+    perm_image,
+    perm_powers,
     relator_variants,
     seam_positions,
+    word_runs,
 )
 
 if TYPE_CHECKING:
@@ -132,6 +135,17 @@ def _ab_in_lattice(target: Sequence[int], basis: Sequence[tuple[int, Sequence[in
 def ab_obstructed(code: str, presentation: Presentation) -> bool:
     """True when the abelianization certifies that no filling of code exists."""
     return not _ab_in_lattice(ab_vector(code, presentation.params.n), presentation.lattice)
+
+
+def _separated_from(g: str, presentation: Presentation) -> Callable[[Sequence], bool]:
+    """Test of a word's runs: true when some finite quotient
+    (`Presentation.quotients`) sends the word and g to different
+    permutations, so that the word is not g in the group."""
+    runs_g, images = word_runs(g), []
+    for quotient in presentation.quotients:
+        powers = [perm_powers(p) for p in quotient]
+        images.append((powers, perm_image(runs_g, powers)))
+    return lambda runs: any(perm_image(runs, powers) != image for powers, image in images)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +417,18 @@ def regular_normal_form(
     (n+1)|g| + n^4 L.  When max_word_len cuts it shorter, a scan that
     matches nothing is budget-exceeded, not no.  So is a scan that
     max_states cuts short.
+
+    Unless the engine is `rewrite`, which searches every candidate, the
+    scan skips candidates that cannot equal g.  The exact lattice test
+    skips those whose exponent vector lies outside the coset ab(g) +
+    lattice.  Once the scan can no longer answer no, because the
+    completeness length exceeds max_word_len or an earlier search was
+    capped, a candidate that a finite quotient (`Presentation.quotients`,
+    built on the first such candidate) separates from g is skipped too:
+    its search could only answer no or budget-exceeded, so the verdict and
+    the witness stay those of the first yes.  While a no is still
+    possible every coset candidate is searched, since a capped search
+    must make the verdict budget-exceeded.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
@@ -411,6 +437,7 @@ def regular_normal_form(
     bound = (n + 1) * len(g) + n**4 * presentation.max_relator_len
     complete = bound <= budget.max_word_len
     ab_g = ab_vector(g, n)
+    separated = None
     candidates = iter_regular_words(n, min(bound, budget.max_word_len))
     for runs in islice(candidates, budget.max_states):
         if engine != "rewrite":
@@ -421,6 +448,12 @@ def regular_normal_form(
                 diff[index - 1] -= exp
             if not _ab_in_lattice(diff, presentation.lattice):
                 continue
+            # once no `no` is possible, skipping a candidate that is not g
+            # in G leaves the verdict that of the first yes
+            if not complete:
+                separated = separated or _separated_from(g, presentation)
+                if separated(runs):
+                    continue
         u = encode(runs)
         out = equals_in_G(presentation, u, g, budget, engine=engine)
         if out.is_yes:

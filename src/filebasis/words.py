@@ -221,6 +221,30 @@ def ab_vector(code: str, n: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def perm_powers(p: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """p^0, p^1, ... up to p's order, for a permutation p of range(len(p))
+    that moves point j to p[j]."""
+    powers = [tuple(range(len(p)))]
+    while True:
+        q = tuple(map(p.__getitem__, powers[-1]))
+        if q == powers[0]:
+            return powers
+        powers.append(q)
+
+
+def perm_image(runs: Iterable[tuple[int, int]], powers: Sequence[list]) -> tuple[int, ...]:
+    """The permutation a word moves points by, letter by letter from the
+    left, given its runs (index, exponent) and, for each x_i, the powers of
+    its image (`perm_powers`) as powers[i-1]: a run costs one power taken
+    modulo the image's order."""
+    image = powers[0][0]
+    for index, exp in runs:
+        cycle = powers[index - 1]
+        p = cycle[exp % len(cycle)]
+        image = tuple(map(p.__getitem__, image))
+    return image
+
+
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
 

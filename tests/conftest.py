@@ -44,6 +44,33 @@ def degenerate_path_diagram(code):
     return dg._diagram(stops, darts, invs, froms, labels, [], [contour] if contour else [])
 
 
+# permutations of (0, 1, 2) as words move points, composed letter by letter
+# with code of its own (`words.perm_image` works on runs)
+IDENTITY = (0, 1, 2)
+
+
+def inverse_perm(p):
+    inverse = [0] * len(p)
+    for j, k in enumerate(p):
+        inverse[k] = j
+    return tuple(inverse)
+
+
+def compose(p, q):
+    """Move a point by p, then by q."""
+    return tuple(q[j] for j in p)
+
+
+def moved_by(code, images):
+    """The permutation a code string moves points by, composed letter by
+    letter from the left: x_i by images[i-1], x_i^-1 by its inverse."""
+    perm = IDENTITY
+    for c in map(ord, code):
+        p = images[c >> 1]
+        perm = compose(perm, p if c & 1 else inverse_perm(p))
+    return perm
+
+
 @pytest.fixture(scope="session")
 def toy_params():
     return ConstructionParams(3, Fraction(1, 15), 2)
@@ -57,6 +84,86 @@ def toy_budget():
 @pytest.fixture(scope="session")
 def toy_presentation(toy_params, toy_budget):
     return generate(toy_params, 1, toy_budget)
+
+
+# an independent bounded Cayley-ball oracle (closure of short words under
+# relator insertion, computed by plain BFS with its own small code path)
+
+
+def _oracle_reduce(code):
+    out = []
+    for c in code:
+        if out and ord(out[-1]) ^ ord(c) == 1:
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+def _oracle_cancelled(left, right):
+    # how many letters of left's end cancel against right's start
+    k, limit = 0, min(len(left), len(right))
+    while k < limit and ord(left[-1 - k]) ^ ord(right[k]) == 1:
+        k += 1
+    return k
+
+
+def _oracle_join(word, j, variant):
+    """word with variant inserted at position j, freely reduced; both are
+    reduced, so letters cancel only at the two seams."""
+    left, right = word[:j], word[j:]
+    k = _oracle_cancelled(left, variant)
+    head = left[: len(left) - k] + variant[k:]
+    k = _oracle_cancelled(head, right)
+    return head[: len(head) - k] + right[k:]
+
+
+class CayleyBallOracle:
+    def __init__(self, relators, radius):
+        self.variants = set()
+        for r in relators:
+            for base in (r, invert(r)):
+                self.variants.update(_oracle_reduce(base[k:] + base[:k]) for k in range(len(base)))
+        self.radius = radius
+        self.closures = {}  # start -> (words reached, whether no child left the ball)
+
+    def closure(self, start):
+        """The reduced words that relator insertions reach from the reduced
+        start without leaving the ball, and whether none left it."""
+        if start not in self.closures:
+            seen = {start}
+            queue = [start]
+            complete = True
+            while queue:
+                word = queue.pop()
+                for variant in self.variants:
+                    for j in range(len(word) + 1):
+                        child = _oracle_join(word, j, variant)
+                        if len(child) > self.radius:
+                            complete = False
+                        elif child not in seen:
+                            seen.add(child)
+                            queue.append(child)
+            self.closures[start] = (seen, complete)
+        return self.closures[start]
+
+    def equal(self, u, v):
+        """True/False when the closure from u within the ball settles it,
+        None when the ball boundary was reached (indeterminate)."""
+        start, target = _oracle_reduce(u), _oracle_reduce(v)
+        if max(len(start), len(target)) > self.radius:
+            return None
+        seen, complete = self.closure(start)
+        if target in seen:
+            return True
+        return False if complete else None
+
+
+@pytest.fixture(scope="session")
+def ball_oracle(toy_presentation):
+    """The oracle over the toy relator r1 in the ball of radius 21, built once
+    so that the tests that use it share the closures it keeps."""
+    return CayleyBallOracle([toy_presentation.relators[0].r], radius=21)
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ from filebasis.words import (
     word_text,
 )
 from conftest import conjugate_by
-from test_decision import CayleyBallOracle, random_word
+from test_decision import random_word
 from test_diagram import scan_special_subpaths
 
 
@@ -224,10 +224,10 @@ def test_criterion_8_letter_subset_bound(corpus):
                 assert ok, (letters, counts)
 
 
-def test_criterion_9_engine_agreement(toy_presentation, toy_budget):
+def test_criterion_9_engine_agreement(toy_presentation, toy_budget, ball_oracle):
     rng = random.Random(9)
     r1 = toy_presentation.relators[0].r
-    oracle = CayleyBallOracle([r1], radius=21)
+    oracle = ball_oracle
     budget = Budget(max_edges=10**6, max_word_len=40, max_states=3000)
 
     words = [random_word(rng, max_len=8) for _ in range(200)]

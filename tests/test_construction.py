@@ -1,12 +1,13 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
-from conftest import is_cyclically_reduced
+from conftest import IDENTITY, compose, inverse_perm, is_cyclically_reduced, moved_by
 from hypothesis import given, strategies as st
 
-from filebasis import decision
+from filebasis import construction, decision
 from filebasis.construction import (
     ConstructionParams,
     ConstructionError,
@@ -22,11 +23,14 @@ from filebasis.construction import (
 )
 from filebasis.decision import EXCEEDED, NO, YES, Budget, Outcome
 from filebasis.words import (
+    encode,
     free_reduce,
     invert,
     is_regular,
     iter_reduced_words,
     parse_word,
+    perm_image,
+    perm_powers,
     word_runs,
     word_text,
 )
@@ -268,6 +272,95 @@ class TestGenerate:
         problems = toy_presentation.validate()
         # the only expected violation at toy scale is the growth inequality
         assert all("growth inequality" in p for p in problems)
+
+
+S3 = list(permutations(range(3)))
+
+
+def conjugate(images, c):
+    return tuple(compose(compose(inverse_perm(c), p), c) for p in images)
+
+
+def is_quotient(images, relators):
+    """Every relator moves no point, and the images generate a non-abelian group."""
+    return all(moved_by(r, images) == IDENTITY for r in relators) and any(
+        compose(a, b) != compose(b, a) for a, b in combinations(images, 2)
+    )
+
+
+def code_words(max_len=10):
+    return st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=max_len).map(
+        lambda letters: free_reduce(encode(letters))
+    )
+
+
+class TestQuotients:
+    def test_toy_quotients_kill_every_relator(self, toy_presentation):
+        relators = toy_presentation.relator_words()
+        assert len(toy_presentation.quotients) == 3
+        for images in toy_presentation.quotients:
+            assert len(images) == 3 and all(sorted(p) == [0, 1, 2] for p in images)
+            assert all(moved_by(r, images) == IDENTITY for r in relators)
+
+    def test_transitive_and_non_abelian(self, toy_presentation):
+        for images in toy_presentation.quotients:
+            orbit = {0}
+            while True:
+                grown = orbit | {p[j] for p in images for j in orbit}
+                if grown == orbit:
+                    break
+                orbit = grown
+            assert orbit == {0, 1, 2}
+            assert any(compose(a, b) != compose(b, a) for a, b in combinations(images, 2))
+
+    @pytest.mark.parametrize("relators", ["toy", "none"])
+    def test_one_per_conjugacy_class(self, toy_presentation, relators):
+        presentation = toy_presentation
+        if relators == "none":
+            presentation = Presentation(toy_presentation.params)
+        quotients = presentation.quotients
+        for a, b in combinations(quotients, 2):
+            assert all(conjugate(a, c) != b for c in S3)
+        # every map of the generators onto S_3 that kills the relators is
+        # conjugate to a kept one; a conjugate of one is itself only
+        relators = presentation.relator_words()
+        found = [images for images in product(S3, repeat=3) if is_quotient(images, relators)]
+        assert len(found) == 6 * len(quotients) > 0
+        assert all(any(conjugate(images, c) in quotients for c in S3) for images in found)
+
+    @given(code_words())
+    def test_run_images_match_letter_by_letter(self, toy_presentation, code):
+        for images in toy_presentation.quotients:
+            powers = [perm_powers(p) for p in images]
+            assert perm_image(word_runs(code), powers) == moved_by(code, images)
+
+    @given(code_words(), code_words(4), st.sampled_from((1, -1)))
+    def test_planted_pairs_are_never_separated(self, toy_presentation, u, a, sign):
+        r1 = toy_presentation.relators[0].r
+        v = free_reduce(u + a + (r1 if sign > 0 else invert(r1)) + invert(a))
+        for images in toy_presentation.quotients:
+            assert moved_by(u, images) == moved_by(v, images)
+        assert not decision._separated_from(v, toy_presentation)(word_runs(u))
+
+    def test_theorem_scale_is_empty_without_relator_evaluation(self, theorem_params, monkeypatch):
+        rel = build_relator(theorem_params, 1, parse_word("x2 x1", 63))
+
+        def refuse(*args):
+            raise AssertionError("relator evaluated")
+
+        monkeypatch.setattr(construction, "perm_image", refuse)
+        monkeypatch.setattr(construction, "word_runs", refuse)
+        assert Presentation(theorem_params, (rel,)).quotients == ()
+
+    def test_built_only_by_a_scan_that_may_skip(self, toy_params, toy_budget):
+        # gen --count 1, eq and conj never reach the normal-form scan
+        pres = generate(toy_params, 1, toy_budget)
+        x1, g = parse_word("x1", 3), parse_word("x2 x1", 3)
+        decision.equals_in_G(pres, x1, g, toy_budget, engine="both")
+        decision.are_conjugate(pres, x1, g, Budget(max_word_len=30, max_states=100))
+        assert "quotients" not in vars(pres)
+        decision.regular_normal_form(pres, g, toy_budget)
+        assert "quotients" in vars(pres)
 
 
 class TestPresentationJSON:

@@ -5,13 +5,13 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import conjugate_by, word_of
+from conftest import conjugate_by, moved_by, word_of
 from hypothesis import example, given, settings, strategies as st
 
 from filebasis import construction, words
@@ -56,56 +56,6 @@ def w(text, n=3):
 def random_word(rng, n=3, max_len=8):
     length = rng.randrange(0, max_len + 1)
     return word_of([(rng.randrange(1, n + 1), rng.choice((1, -1))) for _ in range(length)])
-
-
-# ---------------------------------------------------------------------------
-# an independent bounded Cayley-ball oracle (closure of short words under
-# relator insertion, computed by plain BFS with its own small code path)
-
-
-def _oracle_reduce(code):
-    out = []
-    for c in code:
-        if out and ord(out[-1]) ^ ord(c) == 1:
-            out.pop()
-        else:
-            out.append(c)
-    return "".join(out)
-
-
-class CayleyBallOracle:
-    def __init__(self, relators, radius):
-        self.variants = set()
-        for r in relators:
-            for base in (r, invert(r)):
-                self.variants.update(base[k:] + base[:k] for k in range(len(base)))
-        self.radius = radius
-
-    def equal(self, u, v):
-        """True/False when the closure from u within the ball settles it,
-        None when the ball boundary was reached (indeterminate)."""
-        start, target = _oracle_reduce(u), _oracle_reduce(v)
-        if max(len(start), len(target)) > self.radius:
-            return None
-        seen = {start}
-        queue = [start]
-        complete = True
-        while queue:
-            word = queue.pop()
-            if word == target:
-                return True
-            for variant in self.variants:
-                for j in range(len(word) + 1):
-                    child = _oracle_reduce(word[:j] + variant + word[j:])
-                    if len(child) > self.radius:
-                        complete = False
-                        continue
-                    if child not in seen:
-                        seen.add(child)
-                        queue.append(child)
-        if target in seen:
-            return True
-        return False if complete else None
 
 
 @pytest.fixture(scope="module")
@@ -310,9 +260,8 @@ class TestEqualsInG:
             if not (a.exceeded or b.exceeded):
                 assert a.value == b.value
 
-    def test_engine_agreement_with_oracle(self, toy_presentation, toy_budget, rng):
-        r1 = toy_presentation.relators[0].r
-        oracle = CayleyBallOracle([r1], radius=21)
+    def test_engine_agreement_with_oracle(self, toy_presentation, toy_budget, rng, ball_oracle):
+        oracle = ball_oracle
         for _ in range(30):
             u, v = random_word(rng, max_len=5), random_word(rng, max_len=5)
             d = equals_in_G(toy_presentation, u, v, toy_budget, engine="diagram")
@@ -367,8 +316,11 @@ class TestNormalForm:
             return equals(*args, **kwargs)
 
         monkeypatch.setattr(dec, "equals_in_G", counting_equals)
+        # at the completeness length the scan can still answer no, so it
+        # searches x1 x2, which a quotient separates from x2 x1, before it
+        # finds x1^5 x2^5 x3^5
         fresh = Presentation(toy_params, toy_presentation.relators)
-        out = regular_normal_form(fresh, w("x2 x1"), toy_budget)
+        out = regular_normal_form(fresh, w("x2 x1"), COMPLETE_NF)
         assert out.is_yes
         assert len(scanned) >= 2
         assert len(built) == 1
@@ -867,6 +819,12 @@ class TestNoRewriteAfterObstruction:
         assert len(calls) == 1
 
 
+def separated(presentation, u, g):
+    """Whether some quotient of the presentation moves points differently
+    under u and under g."""
+    return any(moved_by(u, images) != moved_by(g, images) for images in presentation.quotients)
+
+
 class TestNormalFormCosetScan:
     G = "x2 x1"
     TOY_NF = Budget(max_word_len=40, max_states=1500)
@@ -884,10 +842,15 @@ class TestNormalFormCosetScan:
         g = w(self.G)
         scanned, coset = self.coset_candidates(toy_presentation, g, self.TOY_NF)
         assert len(scanned) == 1500 and coset == [w("x1 x2")]
+        # max_word_len 40 is below the completeness length, so the scan
+        # cannot answer no, and it skips a coset candidate that a quotient
+        # separates from g: x1 x2 is not searched
+        unseparated = [u for u in coset if not separated(toy_presentation, u, g)]
+        assert unseparated == []
         calls = _counting(monkeypatch, "equals_in_G")
         out = regular_normal_form(toy_presentation, g, self.TOY_NF, engine="diagram")
         assert out == dec.Outcome(EXCEEDED)
-        assert [u for _, u, *_ in calls] == coset
+        assert [u for _, u, *_ in calls] == unseparated
 
     def test_rewrite_engine_tests_every_candidate(self, toy_presentation, monkeypatch):
         g = w(self.G)
@@ -897,6 +860,59 @@ class TestNormalFormCosetScan:
         out = regular_normal_form(toy_presentation, g, budget, engine="rewrite")
         assert out == dec.Outcome(EXCEEDED)
         assert [u for _, u, *_ in calls] == scanned
+
+
+# max_word_len at the completeness length (n+1)|g| + n^4 L of every g of at
+# most 4 letters on the toy presentation: 4*4 + 81*17
+COMPLETE_NF = Budget(max_word_len=1393, max_states=8000)
+
+
+class TestNormalFormQuotientSkip:
+    """A candidate that a quotient separates from g is skipped only once
+    the scan cannot answer no."""
+
+    def searches(self, presentation, g, budget, monkeypatch):
+        made = {}
+        equals = dec.equals_in_G
+
+        def recording(presentation, u, v, budget, engine="diagram"):
+            made[u] = equals(presentation, u, v, budget, engine=engine)
+            return made[u]
+
+        monkeypatch.setattr(dec, "equals_in_G", recording)
+        out = regular_normal_form(presentation, g, budget)
+        return out, made
+
+    def test_scan_that_can_answer_no_skips_nothing(self, toy_presentation, monkeypatch):
+        assert toy_presentation.quotients
+        g = w("x2 x1")
+        assert separated(toy_presentation, w("x1 x2"), g)
+        out, made = self.searches(toy_presentation, g, COMPLETE_NF, monkeypatch)
+        assert out == dec.Outcome(YES, witness=w("x1^5 x2^5 x3^5"))
+        assert list(made) == [w("x1 x2"), w("x1^5 x2^5 x3^5")]
+
+    @pytest.mark.parametrize("g", ["x2 x1^2", "x1 x2 x1^-1 x2^-1"])
+    def test_skips_start_after_a_capped_search(self, toy_presentation, monkeypatch, g):
+        # the first coset candidate is searched, and capped; the scan then
+        # skips the candidates that a quotient separates from g
+        g, budget = w(g), COMPLETE_NF
+        n = toy_presentation.params.n
+        assert (n + 1) * len(g) + n**4 * toy_presentation.max_relator_len <= budget.max_word_len
+        _, made = self.searches(toy_presentation, g, budget, monkeypatch)
+        can_answer_no, expected, skipped = True, [], []
+        for runs in islice(iter_regular_words(n, budget.max_word_len), budget.max_states):
+            u = encode(runs)
+            if ab_obstructed(u + invert(g), toy_presentation):
+                continue
+            if not can_answer_no and separated(toy_presentation, u, g):
+                skipped.append(u)
+                continue
+            expected.append(u)
+            if u not in made or made[u].is_yes:
+                break
+            can_answer_no = can_answer_no and not made[u].exceeded
+        assert list(made) == expected
+        assert made[expected[0]].exceeded and skipped
 
 
 # ---------------------------------------------------------------------------
