@@ -260,7 +260,7 @@ class Presentation:
 
     @cached_property
     def faces(self) -> tuple[tuple[str, str], ...]:
-        """Each relator variant with its free reduction (`words.relator_variants`)."""
+        """Each relator variant with its free reduction, for the searches only."""
         return relator_variants(self.relator_words())
 
     @cached_property

@@ -361,16 +361,28 @@ def rewrite_search(presentation: Presentation, u: str, v: str, budget: Budget) -
 
 
 def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: str, v: str) -> bool:
-    faces = {face for _, face in presentation.faces}
+    """Independent replay of a rewrite witness, with no list of faces: a step
+    a -> b inserts a face at position j exactly when b is reduced and
+    a[:j]^-1 b a[j:]^-1 reduces to a face.  With r = c k c^-1 and k cyclically
+    reduced, the faces of r are the rotations of k^+-1, which
+    `match_face_label` tests, and t k^+-1 t^-1 for each suffix t of c."""
+    relators = [cyclic_reduce(r) for r in presentation.relator_words()]
+
+    def is_face(f: str) -> bool:
+        core, t = cyclic_reduce(f)
+        return any(
+            match_face_label(core, [k]) and (not t or c.endswith(t) and core in (k, invert(k)))
+            for k, c in relators
+        )
+
+    def step(a: str, b: str) -> bool:
+        inserted = (free_reduce(invert(a[:j]) + b + invert(a[j:])) for j in range(len(a) + 1))
+        return b == free_reduce(b) and any(map(is_face, inserted))
 
     def check_chain(start: str, steps: Sequence[str]) -> bool:
         if not steps or steps[0] != start or steps[-1] != witness.meeting_point:
             return False
-        for a, b in zip(steps, steps[1:]):
-            ok = any(b == insert(a, j, face) for face in faces for j in range(len(a) + 1))
-            if not ok:
-                return False
-        return True
+        return all(map(step, steps, steps[1:]))
 
     return check_chain(free_reduce(u), witness.steps_from_u) and check_chain(
         free_reduce(v), witness.steps_from_v
@@ -506,23 +518,21 @@ def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) ->
         return Outcome(NO, witness=OBSTRUCTED)
 
     bound_len = ceil(presentation.params.q * (len(u) + len(v)))
-
-    def short_words():
-        return takewhile(lambda w: len(w) <= bound_len, iter_reduced_words(n))
+    words = takewhile(lambda w: len(w) <= bound_len, iter_reduced_words(n))
+    short = list(islice(words, budget.max_states))
+    complete = complete and next(words, None) is None
 
     # Step 2: trivial words up to the length bound (budget-capped), kept
     # with their fillings for the certificates that insert them.  A rotation
     # of a kept word or of its inverse is trivial and adds no face: skipped.
     trivial: list[FillWitness] = []
-    candidates = short_words()
-    for w in islice(candidates, budget.max_states):
+    for w in short:
         if not w or trivial and any(match_face_label(w, [f.contour]) for f in trivial):
             continue
         t = equals_in_G(presentation, w, "", budget)
         if t.is_yes:
             trivial.append(t.witness)
         complete = complete and not t.exceeded
-    complete = next(candidates, None) is None and complete
 
     # Steps 3-4: cut-annulus search over conjugators.  Every z below has
     # the abelian image of u v^-1, which passed the test above, and the
@@ -530,8 +540,7 @@ def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) ->
     relators, contours = presentation.relator_words(), [f.contour for f in trivial]
     faces = relator_variants(relators + contours) if contours else presentation.faces
     area_bound = 2 * bound_len - (len(u) + len(v))
-    candidates = short_words()
-    for s in islice(candidates, budget.max_states):
+    for s in short:
         z = free_reduce(s + u + invert(s) + invert(v))
         result = _fill_search(faces, z, area_bound, budget)
         if result.found:
@@ -542,7 +551,7 @@ def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) ->
             lemmas = tuple(f for f in trivial if match_face_label(f.contour, used))
             return _verdict(ConjugacyWitness(s, result.witness, lemmas), True)
         complete = complete and result.complete
-    return _verdict(None, next(candidates, None) is None and complete)
+    return _verdict(None, complete)
 
 
 def replay_conjugacy(witness: ConjugacyWitness, presentation: Presentation, u: str, v: str) -> bool:

@@ -44,9 +44,9 @@ def degenerate_path_diagram(code):
     return dg._diagram(stops, darts, invs, froms, labels, [], [contour] if contour else [])
 
 
-# permutations of (0, 1, 2) as words move points, composed letter by letter
+# permutations of range(k) as words move points, composed letter by letter
 # with code of its own (`words.perm_image` works on runs)
-IDENTITY = (0, 1, 2)
+IDENTITY = (0, 1, 2)  # of S_3, where the finite quotients lie
 
 
 def inverse_perm(p):
@@ -64,7 +64,7 @@ def compose(p, q):
 def moved_by(code, images):
     """The permutation a code string moves points by, composed letter by
     letter from the left: x_i by images[i-1], x_i^-1 by its inverse."""
-    perm = IDENTITY
+    perm = tuple(range(len(images[0])))
     for c in map(ord, code):
         p = images[c >> 1]
         perm = compose(perm, p if c & 1 else inverse_perm(p))
@@ -87,7 +87,13 @@ def toy_presentation(toy_params, toy_budget):
 
 
 # an independent bounded Cayley-ball oracle (closure of short words under
-# relator insertion, computed by plain BFS with its own small code path)
+# relator insertion, computed by plain BFS with its own small code path),
+# with a hand-written map into A5 as its certificate of inequality:
+# x1 -> c, x2 -> c^-1, x3 -> d, with c and d 5-cycles of different cyclic
+# subgroups.  It sends the toy relator r1 to the identity (asserted in
+# test_decision), so words it sends to different permutations differ in G.
+A5_C, A5_D = (1, 2, 3, 4, 0), (2, 0, 4, 1, 3)
+TOY_A5_MAP = (A5_C, inverse_perm(A5_C), A5_D)
 
 
 def _oracle_reduce(code):
@@ -119,7 +125,10 @@ def _oracle_join(word, j, variant):
 
 
 class CayleyBallOracle:
-    def __init__(self, relators, radius):
+    def __init__(self, relators, radius, images):
+        """images map the generators to permutations that send every
+        relator to the identity."""
+        self.images = images
         self.variants = set()
         for r in relators:
             for base in (r, invert(r)):
@@ -148,9 +157,12 @@ class CayleyBallOracle:
         return self.closures[start]
 
     def equal(self, u, v):
-        """True/False when the closure from u within the ball settles it,
-        None when the ball boundary was reached (indeterminate)."""
+        """False when the images of u and v differ; otherwise True/False when
+        the closure from u within the ball settles it, None when the ball
+        boundary was reached (indeterminate)."""
         start, target = _oracle_reduce(u), _oracle_reduce(v)
+        if moved_by(start, self.images) != moved_by(target, self.images):
+            return False
         if max(len(start), len(target)) > self.radius:
             return None
         seen, complete = self.closure(start)
@@ -161,9 +173,10 @@ class CayleyBallOracle:
 
 @pytest.fixture(scope="session")
 def ball_oracle(toy_presentation):
-    """The oracle over the toy relator r1 in the ball of radius 21, built once
-    so that the tests that use it share the closures it keeps."""
-    return CayleyBallOracle([toy_presentation.relators[0].r], radius=21)
+    """The oracle over the toy relator r1 in the ball of radius 21, with the
+    A5 map, built once so that the tests that use it share the closures it
+    keeps."""
+    return CayleyBallOracle([toy_presentation.relators[0].r], radius=21, images=TOY_A5_MAP)
 
 
 @pytest.fixture(scope="session")

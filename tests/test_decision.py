@@ -11,12 +11,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import conjugate_by, moved_by, word_of
+from conftest import TOY_A5_MAP, conjugate_by, moved_by, word_of
 from hypothesis import example, given, settings, strategies as st
 
 from filebasis import construction, words
 from filebasis import decision as dec
-from filebasis.construction import Presentation, build_relator
+from filebasis.construction import Presentation, Relator, build_relator
 from filebasis.decision import (
     Budget,
     EXCEEDED,
@@ -160,7 +160,7 @@ import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from fractions import Fraction
 from filebasis.construction import ConstructionParams, Presentation, build_relator
-from filebasis.decision import FillWitness, replay_fill
+from filebasis.decision import FillWitness, RewriteWitness, replay_fill, replay_rewrite
 from filebasis.words import invert, least_rotation, parse_word
 params = ConstructionParams(63, Fraction(1, 315), 315)
 r1 = build_relator(params, 1, parse_word("x2 x1", 63))
@@ -169,6 +169,11 @@ face = invert(least_rotation(r1.r))
 genuine = FillWitness(r1.r, ((0, face),), len(r1.r), len(r1.r))
 tampered = FillWitness(r1.r, ((1, face),), len(r1.r), len(r1.r))
 print(replay_fill(genuine, presentation), replay_fill(tampered, presentation))
+# "" -> r1 inserts r1 itself; with a letter dropped, the step inserts no face
+short = r1.r[1:]
+genuine = RewriteWitness(r1.r, ("", r1.r), (r1.r,))
+tampered = RewriteWitness(short, ("", short), (short,))
+print(replay_rewrite(genuine, presentation, "", r1.r), replay_rewrite(tampered, presentation, "", short))
 """
 
 
@@ -184,7 +189,93 @@ def test_theorem_scale_replay_fits_in_a_gibibyte():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-500:]
-    assert proc.stdout.split() == ["True", "False"]
+    assert proc.stdout.split() == ["True", "False", "True", "False"]
+
+
+def _reference_rewrite_step(a, b, faces):
+    """The replay's step rule by search: some face, inserted at some
+    position of a, gives b."""
+    return any(b == words.insert(a, j, face) for _, face in faces for j in range(len(a) + 1))
+
+
+class TestRewriteReplayAgainstReference:
+    """replay_rewrite reads each step's one candidate face; the reference
+    tries every face at every position.  Both must accept the same steps."""
+
+    def _presentation(self, rng):
+        n = rng.choice((2, 3))
+        relators = []
+        for _ in range(rng.choice((1, 2))):
+            r = random_word(rng, n, max_len=6)
+            if rng.random() < 0.5:
+                # conjugated, so that r need not be cyclically reduced
+                r = conjugate_by(r, random_word(rng, n, max_len=3))
+            relators.append(r)
+        params = construction.ConstructionParams(n, Fraction(1, 15), 2)
+        rels = tuple(Relator(i, "", 1, r) for i, r in enumerate(relators, 1))
+        return n, Presentation(params, rels), relator_variants(relators)
+
+    def _step(self, rng, n, a, faces):
+        kind = rng.choice(("genuine", "random", "forgery", "unreduced"))
+        if not faces or kind == "random":
+            return "random", random_word(rng, n, max_len=9)
+        _, face = rng.choice(faces)
+        if kind == "forgery":
+            # a conjugated face in front of a, conjugated by no prefix of a
+            p = random_word(rng, n, max_len=3)
+            while a.startswith(p):
+                p = random_word(rng, n, max_len=3)
+            return kind, free_reduce(p + face + invert(p) + a)
+        b = words.insert(a, rng.randrange(len(a) + 1), face)
+        if kind == "unreduced":
+            i, x = rng.randrange(len(b) + 1), chr(rng.randrange(2 * n))
+            b = b[:i] + x + invert(x) + b[i:]
+        return kind, b
+
+    def test_agrees_with_reference_loop(self):
+        rng = random.Random(3899)
+        tally = {}
+        for _ in range(250):
+            n, presentation, faces = self._presentation(rng)
+            for _ in range(10):
+                a = random_word(rng, n, max_len=7)
+                kind, b = self._step(rng, n, a, faces)
+                expected = _reference_rewrite_step(a, b, faces)
+                # one step from a to b, on both sides
+                witness = dec.RewriteWitness(b, (a, b), (a, b))
+                assert replay_rewrite(witness, presentation, a, a) == expected, (kind, a, b)
+                counts = tally.setdefault(kind, [0, 0])
+                counts[0] += 1
+                counts[1] += expected
+        assert sum(total for total, _ in tally.values()) >= 2000
+        # every kind is drawn, and both verdicts occur among the forgeries
+        assert set(tally) == {"genuine", "random", "forgery", "unreduced"}
+        assert 0 < tally["forgery"][1] < tally["forgery"][0]
+        assert tally["unreduced"][1] == 0
+
+
+class TestReplaysReadNoFaceList:
+    """No replay builds the rotation list: with `Presentation.faces` and
+    `relator_variants` refusing, genuine witnesses of all three kinds replay."""
+
+    def test_replays_without_faces(self, monkeypatch, toy_presentation, toy_budget):
+        r1 = toy_presentation.relators[0].r
+        filling = in_C(toy_presentation, len(r1), w("x1^5 x2^5 x3^5"), w("x2 x1"), toy_budget)
+        conj = conjugate_by(r1, w("x3 x1^-1"))
+        rewriting = rewrite_search(toy_presentation, conj, "", toy_budget)
+        lemmas = TestConjugacyLemmas
+        conjugacy = are_conjugate(lemmas.COMMUTATOR, lemmas.U, lemmas.V, lemmas.BUDGET)
+        assert len(rewriting.witness.steps_from_u) + len(rewriting.witness.steps_from_v) > 2
+        assert conjugacy.witness.lemmas
+
+        def refuse(*args):
+            raise AssertionError("a replay read the face list")
+
+        monkeypatch.setattr(Presentation, "faces", property(refuse))
+        monkeypatch.setattr(dec, "relator_variants", refuse)
+        assert replay_fill(filling.witness, toy_presentation)
+        assert replay_rewrite(rewriting.witness, toy_presentation, conj, "")
+        assert replay_conjugacy(conjugacy.witness, lemmas.COMMUTATOR, lemmas.U, lemmas.V)
 
 
 class TestInD:
@@ -273,6 +364,17 @@ class TestEqualsInG:
                     assert val == (YES if o else NO)
             if len(decided) == 2:
                 assert decided[0] == decided[1]
+
+
+class TestBallOracleMap:
+    """The oracle's certificate of inequality: a hand-written map into A5."""
+
+    def test_map_sends_r1_to_the_identity(self, toy_presentation):
+        assert moved_by(toy_presentation.relators[0].r, TOY_A5_MAP) == tuple(range(5))
+
+    def test_differing_images_answer_no(self, ball_oracle):
+        # x1 x3 and x3 x1 have equal abelian images, and c d != d c in A5
+        assert ball_oracle.equal(w("x1 x3"), w("x3 x1")) is False
 
 
 class TestNormalForm:
