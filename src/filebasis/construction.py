@@ -364,10 +364,6 @@ class Presentation:
             raise MalformedParamsError(f"bad presentation data: truncated={truncated!r}")
         return Presentation(params=params, relators=relators, truncated=truncated)
 
-    @staticmethod
-    def loads(text: str) -> "Presentation":
-        return Presentation.from_dict(json.loads(text))
-
 
 def next_w(
     p: ConstructionParams, relators: Sequence[Relator], budget: "decision.Budget"

@@ -367,6 +367,7 @@ def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: str, 
     reduced, the faces of r are the rotations of k^+-1, which
     `match_face_label` tests, and t k^+-1 t^-1 for each suffix t of c."""
     relators = [cyclic_reduce(r) for r in presentation.relator_words()]
+    cores = [k for k, _ in relators]
 
     def is_face(f: str) -> bool:
         core, t = cyclic_reduce(f)
@@ -376,8 +377,12 @@ def replay_rewrite(witness: RewriteWitness, presentation: Presentation, u: str, 
         )
 
     def step(a: str, b: str) -> bool:
+        # each candidate face is a conjugate of b a^-1, so the cyclic core of
+        # b a^-1 must be a rotation of some k^+-1: one linear test first
+        if b != free_reduce(b) or match_face_label(cyclic_reduce(b + invert(a))[0], cores) is None:
+            return False
         inserted = (free_reduce(invert(a[:j]) + b + invert(a[j:])) for j in range(len(a) + 1))
-        return b == free_reduce(b) and any(map(is_face, inserted))
+        return any(map(is_face, inserted))
 
     def check_chain(start: str, steps: Sequence[str]) -> bool:
         if not steps or steps[0] != start or steps[-1] != witness.meeting_point:
@@ -527,7 +532,7 @@ def are_conjugate(presentation: Presentation, u: str, v: str, budget: Budget) ->
     # of a kept word or of its inverse is trivial and adds no face: skipped.
     trivial: list[FillWitness] = []
     for w in short:
-        if not w or trivial and any(match_face_label(w, [f.contour]) for f in trivial):
+        if not w or any(match_face_label(w, [f.contour]) for f in trivial):
             continue
         t = equals_in_G(presentation, w, "", budget)
         if t.is_yes:

@@ -83,14 +83,6 @@ class Diagram:
     def is_disc(self) -> bool:
         return len(self.contours) == 1
 
-    @property
-    def is_spherical(self) -> bool:
-        return len(self.contours) == 0 and bool(self.faces)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return not self.faces
-
     # -- indexes, computed once per diagram --------------------------------
 
     @cached_property
@@ -393,10 +385,6 @@ def find_immediately_cancellable(d: Diagram) -> list[frozenset]:
         if same[key]:
             pairs.add(frozenset((f1, f2)))
     return sorted(pairs, key=lambda p: sorted(map(str, p)))
-
-
-def is_weakly_reduced(d: Diagram) -> bool:
-    return not find_immediately_cancellable(d)
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +705,10 @@ def diagram_to_dict(d: Diagram) -> dict:
     }
 
 
-def diagram_from_dict(data: dict, n: int | None = None) -> Diagram:
-    """Read a diagram; labels are single letters of the word grammar,
-    range-checked against n when it is given.  Ids must be distinct, and a
-    dart whose inverse is a dart must end ("to") where the inverse starts."""
+def diagram_from_dict(data: dict, n: int) -> Diagram:
+    """Read a diagram; labels are single letters of the word grammar over
+    x_1..x_n.  Ids must be distinct, and a dart whose inverse is a dart
+    must end ("to") where the inverse starts."""
     try:
         darts = data["darts"]
         ids, invs, froms, tos, texts = (
@@ -750,7 +738,7 @@ def diagram_from_dict(data: dict, n: int | None = None) -> Diagram:
     return d
 
 
-def load_diagram(path: str, n: int | None = None) -> Diagram:
+def load_diagram(path: str, n: int) -> Diagram:
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -97,8 +97,6 @@ def least_rotation(code: str) -> str:
     n = len(code)
     least = min(code)
     first_other = n - len(code.lstrip(least))
-    if first_other == n:
-        return code  # a power of one letter
     # from a letter other than the least one, no run of it wraps around
     text = code[first_other:] + code[:first_other]
     doubled = text + text
@@ -247,33 +245,43 @@ def perm_image(runs: Iterable[tuple[int, int]], powers: Sequence[list]) -> tuple
 
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
+# the most letters word text may spell, so that no exponent makes the
+# reader allocate without bound; far above the longest word a query reads,
+# r1 at n=63 (39,755 letters)
+MAX_WORD_LETTERS = 2**24
 
-def parse_word(text: str, n: int | None = None) -> str:
-    """Reduced code string of the grammar of whitespace-separated `x<i>` /
-    `x<i>^<k>` tokens.
+
+def parse_word(text: str, n: int) -> str:
+    """Reduced code string over x_1..x_n of the grammar of
+    whitespace-separated `x<i>` / `x<i>^<k>` tokens.
 
     Runs are merged on a stack by adding exponents, so no run is expanded
     before the end: a zero exponent is dropped, and a run that cancels to
-    zero is popped, which lets its neighbours meet.
+    zero is popped, which lets its neighbours meet.  A word that would
+    spell more than `MAX_WORD_LETTERS` letters is rejected before it is.
     """
     stack: list[tuple[int, int]] = []
     for token in text.split():
         m = _TOKEN.match(token)
         if m is None:
             raise MalformedWordError(f"bad token {token!r}")
-        index = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
-        if index < 1 or (n is not None and index > n):
+        try:
+            index, exp = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise MalformedWordError(f"bad token {token!r}") from exc
+        if not 1 <= index <= n:
             raise MalformedWordError(f"letter index {index} out of range")
         if stack and stack[-1][0] == index:
             exp += stack.pop()[1]
         if exp:
             stack.append((index, exp))
+    if sum(abs(exp) for _, exp in stack) > MAX_WORD_LETTERS:
+        raise MalformedWordError(f"word spells more than {MAX_WORD_LETTERS} letters")
     return encode(stack)
 
 
-def parse_letter(text: str, n: int | None = None) -> str:
-    """Code of a single letter, `x<i>` or `x<i>^-1`, of the word grammar."""
+def parse_letter(text: str, n: int) -> str:
+    """Code of a single letter over x_1..x_n, `x<i>` or `x<i>^-1`."""
     m = _TOKEN.match(text)
     if m is None or m.group(2) not in (None, "-1"):
         raise MalformedWordError(f"bad letter {text!r}")

@@ -135,7 +135,7 @@ def test_criterion_5_diagram_invariant_fuzzing(toy_presentation):
         other = rng.choice([x for x in darts if x not in (victim, dart[victim]["inv"])])
         broken = copy.deepcopy(data)
         broken["darts"][darts.index(victim)].update(inv=other, to=dart[other]["from"])
-        rep = dg.validate_diagram(dg.diagram_from_dict(broken), rels)
+        rep = dg.validate_diagram(dg.diagram_from_dict(broken, 3), rels)
         assert not rep.ok
         assert all(i.location for i in rep.issues)
 
@@ -143,7 +143,7 @@ def test_criterion_5_diagram_invariant_fuzzing(toy_presentation):
         face_dart = rng.choice([x for face in data["faces"] for x in face["cycle"]])
         dup = copy.deepcopy(data)
         dup["contours"][0].append(face_dart)
-        rep = dg.validate_diagram(dg.diagram_from_dict(dup), rels)
+        rep = dg.validate_diagram(dg.diagram_from_dict(dup, 3), rels)
         assert not rep.ok
         assert any(str(face_dart) in i.location for i in rep.issues)
 
@@ -187,7 +187,7 @@ def corpus(toy_presentation):
     out = []
     while len(out) < 60:
         d = dg.random_diagram(rels, rng.randrange(1, 7), rng)
-        if dg.is_weakly_reduced(d):
+        if not dg.find_immediately_cancellable(d):
             out.append(d)
     return out
 

@@ -1,11 +1,15 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from conftest import degenerate_path_diagram
+from hypothesis import example, given, settings, strategies as st
 
 from filebasis import decision
 from filebasis.cli import main
 from filebasis.construction import Presentation
+from filebasis.words import MAX_WORD_LETTERS
 
 
 @pytest.fixture()
@@ -262,7 +266,7 @@ class TestCheckDiagram:
 
         # a valid face-free path: not semisimple, so outside condition X's hypotheses
         path = tmp_path / "path.json"
-        path.write_text(json.dumps(dg.diagram_to_dict(degenerate_path_diagram(parse_word("x1")))))
+        path.write_text(json.dumps(dg.diagram_to_dict(degenerate_path_diagram(parse_word("x1", 3)))))
         code = main(["check-diagram", str(path), "--presentation", pres_file, "--condition", "X"])
         captured = capsys.readouterr()
         assert code == 1  # a no, not exit 65
@@ -300,7 +304,7 @@ class TestCheckDiagram:
         }
         pres_path, face_path = tmp_path / "pres.json", tmp_path / "face.json"
         pres_path.write_text(json.dumps(pres))
-        face_path.write_text(json.dumps(dg.diagram_to_dict(dg.polygon_diagram(parse_word(relator)))))
+        face_path.write_text(json.dumps(dg.diagram_to_dict(dg.polygon_diagram(parse_word(relator, 3)))))
         argv = ["check-diagram", str(face_path), "--presentation", str(pres_path)]
         assert main(argv) == 0
         capsys.readouterr()
@@ -395,6 +399,14 @@ class TestTrustBoundary:
         code, out = run(*argv)
         assert code == 64
         assert out is None
+
+    def test_word_over_the_letter_cap_is_a_data_error(self, capsys, pres_file):
+        # one letter more than words.MAX_WORD_LETTERS, rejected before it is spelled
+        code = main(["eq", "x1^16777217", "x1", "--presentation", pres_file])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "more than 16777216 letters" in json.loads(captured.err)["error"]
 
     UNREADABLE = {
         "directory": None,
@@ -732,3 +744,39 @@ class TestDependentRelators:
         code = main([*argv[:3], "--presentation", four_file, *argv[3:]])
         assert code == 1
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+class TestWordTextFuzz:
+    """Word text read by `eq`, `nf` and `conj` either gets an answer or is
+    rejected with its exit code; no input makes the CLI crash (exit 70)."""
+
+    EXPONENTS = st.one_of(
+        st.none(),
+        st.integers(-3, 3).map(str),
+        st.integers(MAX_WORD_LETTERS + 1, 10**30).map(str),
+        st.integers(-(10**30), -MAX_WORD_LETTERS - 1).map(str),
+        st.just("9" * 5000),  # more digits than int() converts
+    )
+    LETTERS = st.builds(
+        lambda i, e: f"x{i}" if e is None else f"x{i}^{e}", st.integers(0, 5), EXPONENTS
+    )
+    JUNK = st.sampled_from(
+        ["x", "x1^", "y2", "x-1", "x1^+1", "^2", "x1^2^3", "x1x2", "X1", "x\u0661", "-x1", "--"]
+    ) | st.text(max_size=4)
+    WORDS = st.lists(LETTERS | JUNK, max_size=3).map(" ".join)
+
+    @pytest.fixture(scope="class")
+    def toy_file(self, tmp_path_factory, toy_presentation):
+        path = tmp_path_factory.mktemp("fuzz") / "pres.json"
+        path.write_text(toy_presentation.dumps())
+        return str(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["eq", "nf", "conj"]), WORDS, WORDS)
+    @example("eq", "x1^" + "9" * 5000, "x1")
+    def test_exit_codes(self, toy_file, command, u, v):
+        words = [u] if command == "nf" else [u, v]
+        argv = [command, *words, "--presentation", toy_file, "--max-states", "20", "--max-len", "12"]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2, 64, 65), err.getvalue()[-500:]

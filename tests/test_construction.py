@@ -366,7 +366,7 @@ class TestQuotients:
 class TestPresentationJSON:
     def test_roundtrip(self, toy_presentation):
         data = json.loads(toy_presentation.dumps())
-        back = Presentation.loads(json.dumps(data))
+        back = Presentation.from_dict(json.loads(json.dumps(data)))
         assert back.params.n == toy_presentation.params.n
         assert back.params.lambda1 == toy_presentation.params.lambda1
         assert back.relators[0].r == toy_presentation.relators[0].r
@@ -379,6 +379,6 @@ class TestPresentationJSON:
 
     def test_malformed(self):
         with pytest.raises(MalformedParamsError):
-            Presentation.loads('{"n": 3}')
+            Presentation.from_dict({"n": 3})
         with pytest.raises(MalformedParamsError):
-            Presentation.loads('{"n": 3, "lambda1": "1/15", "N": 2, "truncated": "no"}')
+            Presentation.from_dict({"n": 3, "lambda1": "1/15", "N": 2, "truncated": "no"})

@@ -117,12 +117,12 @@ class TestValidate:
         d = degenerate_path_diagram(parse_word("x1", 3))
         report = dg.validate_diagram(d, [toy_relator])
         assert report.ok
-        assert d.is_degenerate
+        assert not d.faces
 
     def test_broken_involution_located(self, toy_face, toy_relator):
         data = dg.diagram_to_dict(toy_face)
         _repoint(data, "d0+", "d1-")  # no longer involutive
-        report = dg.validate_diagram(dg.diagram_from_dict(data), [toy_relator])
+        report = dg.validate_diagram(dg.diagram_from_dict(data, 3), [toy_relator])
         assert not report.ok
         assert any("d0+" in i.location or "d1-" in i.location for i in report.issues)
 
@@ -136,18 +136,18 @@ class TestValidate:
     def test_bad_label_involution(self, toy_face, toy_relator):
         data = dg.diagram_to_dict(toy_face)
         _dart(data, "d0-")["label"] = _dart(data, "d0+")["label"]
-        report = dg.validate_diagram(dg.diagram_from_dict(data), [toy_relator])
+        report = dg.validate_diagram(dg.diagram_from_dict(data, 3), [toy_relator])
         assert not report.ok
 
     def test_json_roundtrip(self, toy_face, toy_relator):
         data = dg.diagram_to_dict(toy_face)
-        back = dg.diagram_from_dict(json.loads(json.dumps(data)))
+        back = dg.diagram_from_dict(json.loads(json.dumps(data)), 3)
         assert dg.validate_diagram(back, [toy_relator]).ok
         assert dg.diagram_to_dict(back) == data
 
     def test_malformed_json(self):
         with pytest.raises(dg.DiagramError):
-            dg.diagram_from_dict({"vertices": []})
+            dg.diagram_from_dict({"vertices": []}, 3)
 
 
 class TestSpecialSelection:
@@ -181,6 +181,12 @@ class TestSpecialSelection:
         with pytest.raises(dg.PreconditionError, match="no special subpath"):
             dg.special_selection(d, 3)
 
+    def test_empty_boundary_cycle(self, toy_face):
+        # an empty face label has no special subpath (validation rejects it too)
+        d = replace(toy_face, faces={**toy_face.faces, "e": ()})
+        with pytest.raises(dg.PreconditionError, match="face 'e': no special subpath"):
+            dg.special_selection(d, 3)
+
     def test_scan_agrees_on_two_face(self, toy_face, toy_relator):
         d2 = glue_second_face(toy_face, toy_relator)
         sel = dg.special_selection(d2, 3)
@@ -208,13 +214,13 @@ class TestFaceRank:
 class TestCancellable:
     def test_one_face_none(self, toy_face):
         assert dg.find_immediately_cancellable(toy_face) == []
-        assert dg.is_weakly_reduced(toy_face)
+        assert not dg.find_immediately_cancellable(toy_face)
 
     def test_sphere_double(self, toy_relator, theorem_relator):
         for relator in (toy_relator, theorem_relator):
             s = dg.sphere_double(relator)
             assert dg.validate_diagram(s, [relator]).ok
-            assert s.is_spherical
+            assert not s.contours and s.faces
             pairs = dg.find_immediately_cancellable(s)
             assert pairs == [frozenset({"back", "front"})], len(relator)
 
@@ -227,6 +233,23 @@ class TestCancellable:
         d2 = glue_second_face(toy_face, toy_relator, inverted=True)
         assert dg.validate_diagram(d2, [toy_relator]).ok
         assert dg.find_immediately_cancellable(d2) == [frozenset({"f0", "f1"})]
+
+    def test_faces_of_different_lengths_not_cancellable(self):
+        # faces x1 x2 x3 and x3^-1 x1 share the edge x3; their labels cannot
+        # be mutually inverse
+        relators = [parse_word("x1 x2 x3", 3), parse_word("x3^-1 x1", 3)]
+        d = dg.glue_boundary(dg.polygon_diagram(relators[0]), relators[1], "f1", 1)
+        assert dg.validate_diagram(d, relators).ok
+        assert dg.find_immediately_cancellable(d) == []
+
+
+class TestRandomDiagram:
+    def test_one_letter_relator_stops_after_one_face(self):
+        # a one-letter contour has no proper segment to glue a face along
+        relators = [parse_word("x1", 1)]
+        d = dg.random_diagram(relators, 3, random.Random(0))
+        assert list(d.faces) == ["f0"]
+        assert dg.validate_diagram(d, relators).ok
 
 
 class TestArcs:
@@ -473,7 +496,7 @@ def test_condition_counts_golden(toy_presentation, toy_params):
     corpus = []
     while len(corpus) < 60:
         d = dg.random_diagram(rels, rng.randrange(1, 7), rng)
-        if dg.is_weakly_reduced(d):
+        if not dg.find_immediately_cancellable(d):
             corpus.append(d)
     assert [_counts_line(d, toy_params) for d in corpus] == [
         COUNTS_GOLDEN.get(k, ONE_FACE) for k in range(60)

@@ -108,6 +108,7 @@ def test_diff_theorem_diagram_queries(tmp_path):
         assert json.loads(record["stdout"])["validation"]["ok"]
         conditions.add(record["argv"][-1])
     assert conditions == {"B", "X", "main-lemma"}
+    assert_golden(records, "theorem-diagram-1")
 
 
 def test_diff_length3_queries(tmp_path):

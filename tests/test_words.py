@@ -12,6 +12,7 @@ from conftest import (
 from hypothesis import given, settings, strategies as st
 
 from filebasis.words import (
+    MAX_WORD_LETTERS,
     MalformedWordError,
     cyclic_join,
     cyclic_reduce,
@@ -245,20 +246,28 @@ class TestKernel:
     def test_parse_word_merges_runs_on_a_stack(self, runs):
         # zero exponents, repeated and cancelling indices: merged on a stack
         text = " ".join(f"x{index}^{exp}" for index, exp in runs)
-        assert parse_word(text) == free_reduce(encode(runs))
+        assert parse_word(text, 3) == free_reduce(encode(runs))
 
     def test_parse_word_never_expands_cancelling_runs(self):
         big = 10**12
-        assert parse_word(f"x1^{big} x2 x2^-1 x1^{1 - big}") == encode([(1, 1)])
-        assert parse_word(f"x2 x1^{big} x1^-{big} x2^-1 x3") == encode([(3, 1)])
+        assert parse_word(f"x1^{big} x2 x2^-1 x1^{1 - big}", 3) == encode([(1, 1)])
+        assert parse_word(f"x2 x1^{big} x1^-{big} x2^-1 x3", 3) == encode([(3, 1)])
         with pytest.raises(MalformedWordError):
-            parse_word(f"x1^{big} x0")
+            parse_word(f"x1^{big} x0", 3)
+
+    def test_parse_word_caps_the_letters_it_spells(self):
+        # runs merge before the cap is checked, so cancelling runs of any size pass
+        assert parse_word(f"x1^{10**12} x1^{-(10**12)}", 3) == ""
+        assert len(parse_word(f"x1^{MAX_WORD_LETTERS - 1} x2", 3)) == MAX_WORD_LETTERS
+        for text in (f"x1^{MAX_WORD_LETTERS} x2", f"x1^{-(10**12)}", "x2^" + "9" * 5000):
+            with pytest.raises(MalformedWordError):
+                parse_word(text, 3)
 
     @given(letter_lists)
     def test_code_round_trip(self, raw):
         code = free_reduce(encode(raw))
         assert encode(word_runs(code)) == code
-        assert parse_word(word_text(encode(raw))) == code
+        assert parse_word(word_text(encode(raw)), 4) == code
 
 
 class TestGroupOps:
