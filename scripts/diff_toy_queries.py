@@ -88,9 +88,11 @@ def _length3_queries(pres_file: str) -> list:
 
 def _disc_queries(pres_file: str, workdir: str) -> list:
     """argv of the discs set, diagram by diagram, four conditions each."""
-    cli = wl.load_cli()
-    dg = cli.diagram
-    relators = cli.Presentation.from_dict(json.loads(Path(pres_file).read_text())).relator_words()
+    wl.load_cli()  # imports filebasis from this checkout's src/, or exits
+    from filebasis import diagram as dg
+    from filebasis.construction import Presentation
+
+    relators = Presentation.from_dict(json.loads(Path(pres_file).read_text())).relator_words()
     rng = random.Random(DISC_SEED)
     corpus = [dg.random_diagram(relators, rng.randrange(1, 7), rng) for _ in range(DISC_COUNT)]
     queries = []

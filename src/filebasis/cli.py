@@ -15,10 +15,10 @@ import traceback
 from dataclasses import asdict
 from itertools import islice
 
-from . import construction, decision, diagram
+from . import construction, decision
 from .construction import ConstructionParams, MalformedParamsError, Presentation
 from .decision import Budget, Outcome
-from .words import MalformedWordError, iter_reduced_words, parse_word, word_text
+from .words import DataError, iter_reduced_words, parse_word, word_text
 
 EX_YES = 0
 EX_NO = 1
@@ -161,6 +161,8 @@ _CONDITION_KEYS = {"B": "condition_B", "X": "condition_X", "main-lemma": "main_l
 
 
 def cmd_check_diagram(args) -> int:
+    from . import diagram  # the one command that needs the diagram layer
+
     pres = _load_presentation(args.presentation)
     d = diagram.load_diagram(args.diagram, pres.params.n)
     report = diagram.validate_diagram(d, pres.relator_words())
@@ -291,10 +293,10 @@ def main(argv=None) -> int:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (MalformedParamsError, argparse.ArgumentTypeError) as exc:
+    except MalformedParamsError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EX_USAGE
-    except (MalformedWordError, diagram.DiagramError, construction.ConstructionError) as exc:
+    except DataError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EX_DATA
     except (MemoryError, RecursionError) as exc:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from . import decision
 from .words import (
+    DataError,
     ab_vector,
     cyclic_reduce,
     encode,
@@ -38,7 +39,7 @@ class MalformedParamsError(ValueError):
     pass
 
 
-class ConstructionError(ValueError):
+class ConstructionError(DataError):
     pass
 
 

@@ -34,10 +34,12 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .words import encode, invert, match_face_label, parse_letter, relator_variants, word_text
+from .words import (
+    DataError, encode, invert, match_face_label, parse_letter, relator_variants, word_text,
+)
 
 
-class DiagramError(ValueError):
+class DiagramError(DataError):
     pass
 
 
@@ -339,18 +341,6 @@ def special_selection(d: Diagram, n: int) -> Selection:
             )
         per_face[fid] = FaceSelection(face=fid, start=start, length=length)
     return Selection(per_face)
-
-
-# ---------------------------------------------------------------------------
-# face rank
-
-
-def face_rank(d: Diagram, face_id, presentation) -> int:
-    """Index j of the relator whose r_j^{+-1} the face reads."""
-    match = match_face_label(d.face_code(face_id), presentation.relator_words())
-    if match is None:
-        raise DiagramError(f"face {face_id!r}: label matches no relator")
-    return presentation.relators[match[0]].i
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,11 @@ from itertools import groupby
 from typing import Iterable, Iterator, Optional, Sequence
 
 
-class MalformedWordError(ValueError):
+class DataError(ValueError):
+    """Input data that is malformed or outside its alphabet (exit 65)."""
+
+
+class MalformedWordError(DataError):
     """A letter index is outside the alphabet, or word text does not parse."""
 
 
@@ -243,7 +247,7 @@ def perm_image(runs: Iterable[tuple[int, int]], powers: Sequence[list]) -> tuple
     return image
 
 
-_TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$", re.ASCII)
 
 # the most letters word text may spell, so that no exponent makes the
 # reader allocate without bound; far above the longest word a query reads,

@@ -408,6 +408,19 @@ class TestTrustBoundary:
         assert captured.out == ""
         assert "more than 16777216 letters" in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [("x\u0661", "x1"), ("x1^\u0663", "x1 x1 x1"), ("x\uff12", "x2")],
+        ids=["arabic-indic index", "arabic-indic exponent", "fullwidth index"],
+    )
+    def test_non_ascii_digits_are_data_errors(self, capsys, pres_file, u, v):
+        # int() reads these digits; the grammar takes ASCII ones only
+        code = main(["eq", u, v, "--presentation", pres_file])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == f"bad token {u!r}"
+
     UNREADABLE = {
         "directory": None,
         "utf-16 byte order mark": b"\xff\xfe{\x00}\x00",
@@ -757,8 +770,12 @@ class TestWordTextFuzz:
         st.integers(-(10**30), -MAX_WORD_LETTERS - 1).map(str),
         st.just("9" * 5000),  # more digits than int() converts
     )
+    # ASCII digits mixed with digits that int() reads but the grammar rejects
+    NUMERALS = st.text("0123456789\u0661\u0663\u06f2\uff11", min_size=1, max_size=2)
     LETTERS = st.builds(
-        lambda i, e: f"x{i}" if e is None else f"x{i}^{e}", st.integers(0, 5), EXPONENTS
+        lambda i, e: f"x{i}" if e is None else f"x{i}^{e}",
+        st.integers(0, 5) | NUMERALS,
+        EXPONENTS | NUMERALS,
     )
     JUNK = st.sampled_from(
         ["x", "x1^", "y2", "x-1", "x1^+1", "^2", "x1^2^3", "x1x2", "X1", "x\u0661", "-x1", "--"]
@@ -774,9 +791,14 @@ class TestWordTextFuzz:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["eq", "nf", "conj"]), WORDS, WORDS)
     @example("eq", "x1^" + "9" * 5000, "x1")
+    @example("eq", "x1^\u0663", "x1 x1 x1")
     def test_exit_codes(self, toy_file, command, u, v):
         words = [u] if command == "nf" else [u, v]
         argv = [command, *words, "--presentation", toy_file, "--max-states", "20", "--max-len", "12"]
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
             code = main(argv)
         assert code in (0, 1, 2, 64, 65), err.getvalue()[-500:]
+        if not "".join(" ".join(words).split()).isascii():
+            # a token with a non-ASCII character never parses (65), unless
+            # argparse took a word such as "-x1" for an option first (64)
+            assert code in (64, 65)

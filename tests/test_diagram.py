@@ -196,13 +196,6 @@ class TestSpecialSelection:
 
 
 class TestFaceRank:
-    def test_rank_one(self, toy_face, toy_presentation):
-        assert dg.face_rank(toy_face, "f0", toy_presentation) == 1
-
-    def test_rank_of_inverse(self, toy_relator, toy_presentation):
-        d = dg.polygon_diagram(invert(toy_relator))
-        assert dg.face_rank(d, "f0", toy_presentation) == 1
-
     def test_monotone_with_length(self, toy_params, toy_presentation):
         from filebasis.construction import build_relator
 
@@ -937,11 +930,6 @@ GUARDS = {
         ),
         dg.DiagramError,
         "degenerate diagram",
-    ),
-    "rank of a foreign face": (
-        lambda pres, r1: dg.face_rank(dg.polygon_diagram(_x("x1 x2 x3")), "f0", pres),
-        dg.DiagramError,
-        "face 'f0': label matches no relator",
     ),
     "relator index 0": (
         lambda pres, r1: build_relator(pres.params, 0, _x("x2 x1")),

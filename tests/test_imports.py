@@ -1,6 +1,10 @@
-"""Every name a filebasis module imports is used in that module."""
+"""Every name a filebasis module imports is used in that module, and a
+query loads only the modules it uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,33 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     source = "from typing import Optional, Sequence\nimport json\n\ndef f(x: Sequence): ...\n"
     assert unused_imports(source) == ["Optional (line 1)", "json (line 2)"]
+
+
+QUERY_MODULES = """
+import sys
+from filebasis.cli import main
+code = main(["eq", "x1^5 x2^5 x3^5", "x2 x1", "--presentation", sys.argv[1], "--max-states", "50"])
+print(code, "filebasis.diagram" in sys.modules)
+"""
+
+
+def test_eq_does_not_load_the_diagram_layer(tmp_path, toy_presentation):
+    pres = tmp_path / "pres.json"
+    pres.write_text(toy_presentation.dumps())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", QUERY_MODULES, str(pres)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    # a yes (the toy relator r1 equates the two words), with no diagram module loaded
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_package_imports_nothing():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]

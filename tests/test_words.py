@@ -26,6 +26,7 @@ from filebasis.words import (
     iter_regular_words,
     least_rotation,
     match_face_label,
+    parse_letter,
     parse_word,
     relator_variants,
     seam_positions,
@@ -370,9 +371,16 @@ class TestText:
         assert word_text(encode([(2, 1), (2, -1)])) == ""
 
     def test_bad_tokens(self):
-        for text in ["y1", "x", "x1^", "x0", "x1 ^2"]:
+        for text in ["y1", "x", "x1^", "x0", "x1 ^2", "x\u0661", "x1^\u0663"]:
             with pytest.raises(MalformedWordError):
                 parse_word(text, 4)
+
+    def test_letters_take_ascii_digits_only(self):
+        # diagram labels go through parse_letter; int() would read these digits
+        assert parse_letter("x1^-1", 4) == parse_word("x1^-1", 4)
+        for text in ["x\u0661", "x\u0661^-1", "x1^-\u0661"]:
+            with pytest.raises(MalformedWordError):
+                parse_letter(text, 4)
 
     def test_out_of_alphabet(self):
         with pytest.raises(MalformedWordError):
